@@ -23,6 +23,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --release"
+# Every crate's unit, integration and property suites. The root
+# `cargo test -q` above covers only the root package; the targeted gates
+# below re-run a few of these suites to label their failures.
+cargo test --workspace --release
+
 echo "==> cargo bench --no-run"
 # Compile (but do not execute) the criterion benches and the hotpath
 # harness so bench-only code can never rot out of sync with the library.

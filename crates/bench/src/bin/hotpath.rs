@@ -7,7 +7,7 @@
 //! minimum is the closest observable to the true cost of the code.
 
 use altocumulus::telemetry::phase_table;
-use altocumulus::{AcConfig, Altocumulus, ControlPlane, RackWorld, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, ControlPlane, RackConfig, RackWorld, WorkerPlane};
 use bench::record::{rack_shape, rack_sweep_cell};
 use bench::{capture_telemetry, export_trace, trace_out_arg};
 use schedulers::common::RpcSystem;
@@ -22,6 +22,19 @@ struct Measured {
     wall_ms: f64,
     events: u64,
     peak_queue: usize,
+    /// Best-of wall time of the rack routing pass alone (rack rows only).
+    route_ms: Option<f64>,
+}
+
+impl Measured {
+    fn unmeasured() -> Self {
+        Measured {
+            wall_ms: f64::MAX,
+            events: 0,
+            peak_queue: 0,
+            route_ms: None,
+        }
+    }
 }
 
 fn trace(cores: usize, requests: usize, load: f64) -> workload::Trace {
@@ -35,11 +48,7 @@ fn trace(cores: usize, requests: usize, load: f64) -> workload::Trace {
 }
 
 fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {
-    let mut best = Measured {
-        wall_ms: f64::MAX,
-        events: 0,
-        peak_queue: 0,
-    };
+    let mut best = Measured::unmeasured();
     for _ in 0..ITERS {
         let mut sys = Altocumulus::new(cfg.clone());
         let start = Instant::now();
@@ -62,11 +71,7 @@ fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {
 /// oracle, not the elided serial row; the virtual-ledger peak is identical
 /// across all three engines.
 fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, oracle: &Measured) -> Measured {
-    let mut best = Measured {
-        wall_ms: f64::MAX,
-        events: 0,
-        peak_queue: 0,
-    };
+    let mut best = Measured::unmeasured();
     for _ in 0..ITERS {
         let mut sys = Altocumulus::new(cfg.clone());
         let start = Instant::now();
@@ -104,6 +109,9 @@ fn emit(label: &str, m: &Measured, trailing_comma: bool) {
         m.wall_ms * 1e6 / m.events as f64
     );
     println!("    \"peak_event_queue\": {},", m.peak_queue);
+    if let Some(route_ms) = m.route_ms {
+        println!("    \"route_ms\": {route_ms:.2},");
+    }
     // Recorded per row (not just globally) so drift checks can tell
     // whether a PAR_THREADS row was measured with real parallelism or is
     // just engine overhead on a single hardware thread.
@@ -170,11 +178,7 @@ fn main() {
     let (rack_cfg, rack_trace) =
         rack_sweep_cell(rack_shape::QUICK, 0.8, rack_shape::requests(true), false);
     let rack_world = RackWorld::new(rack_cfg);
-    let mut rack = Measured {
-        wall_ms: f64::MAX,
-        events: 0,
-        peak_queue: 0,
-    };
+    let mut rack = Measured::unmeasured();
     for _ in 0..ITERS {
         let start = Instant::now();
         let r = rack_world.run(&rack_trace, 1);
@@ -184,6 +188,38 @@ fn main() {
         rack.events = r.events;
         rack.peak_queue = r.peak_queue;
     }
+
+    // Rack tier at scale: 32 AC servers of 2x16 cores, fixed 850 ns
+    // service at load 0.7, fanned out on one thread. The full run is
+    // recorded with the serial routing pass alone beside it, so a change
+    // to routing or to the merge shows up in its own column.
+    let rack32_cfg = RackConfig::ac(32, 2, 16, mean);
+    let rack32_trace = {
+        let dist = ServiceDistribution::Fixed(mean);
+        let rate = PoissonProcess::rate_for_load(0.7, rack32_cfg.total_cores(), dist.mean());
+        TraceBuilder::new(PoissonProcess::new(rate), dist)
+            .requests(100_000)
+            .connections(4096)
+            .seed(1)
+            .build()
+    };
+    let rack32_world = RackWorld::new(rack32_cfg);
+    let mut rack32 = Measured::unmeasured();
+    let mut route_best = f64::MAX;
+    for _ in 0..ITERS {
+        let start = Instant::now();
+        let r = rack32_world.run(&rack32_trace, 1);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(r.system.completions.len(), rack32_trace.len());
+        rack32.wall_ms = rack32.wall_ms.min(ms);
+        rack32.events = r.events;
+        rack32.peak_queue = r.peak_queue;
+        let start = Instant::now();
+        let routing = rack32_world.route(&rack32_trace);
+        route_best = route_best.min(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(routing.stats, r.routing, "route() diverged from run()");
+    }
+    rack32.route_ms = Some(route_best);
 
     // Nebula baseline: wall time only (RpcSystem::run has no summary).
     let mut nb_best_ms = f64::MAX;
@@ -203,7 +239,8 @@ fn main() {
     // Hand-rolled JSON (no serde in the workspace). The "prior" block holds
     // the pre-change numbers measured on the same machine for this trace:
     // criterion medians from the PR-1 build, and the upfront pre-push queue
-    // population (every arrival resident at t=0).
+    // population (every arrival resident at t=0), plus the 32-server rack
+    // row as measured before its routing pass and merge were rewritten.
     println!("{{");
     println!(
         "  \"config_64\": \"20k requests, 64 cores, load 0.8, fixed 850ns, 16 conns, seed 1\","
@@ -211,6 +248,7 @@ fn main() {
     println!("  \"config_256\": \"40k requests, 256 cores (16x16), load 0.6, fixed 850ns, 16 conns, seed 1\",");
     println!("  \"config_1024\": \"60k requests, 1024 cores (32x32 mesh, 64 groups x 16), load 0.6, fixed 850ns, 16 conns, seed 1\",");
     println!("  \"config_rack\": \"12k requests, 4 AC servers x 16 cores, load 0.8, bimodal(paper), two-level ToR routing\",");
+    println!("  \"config_rack32\": \"100k requests, 32 AC servers x 32 cores (2x16), load 0.7, fixed 850ns, 4096 conns, seed 1, one fan-out thread\",");
     println!("  \"iters_best_of\": {ITERS},");
     println!("  \"hw_threads\": {},", hw_threads());
     println!("  \"par_note\": \"PAR_THREADS rows use the quiet-window parallel engine; invariants asserted byte-identical to serial. With hw_threads=1 these rows measure engine overhead, not speedup.\",");
@@ -235,6 +273,7 @@ fn main() {
     );
     emit("altocumulus_int_16x16_event_driven", &big_legacy, true);
     emit("rack_4x16_ac", &rack, true);
+    emit("rack_32x32_fixed", &rack32, true);
     println!("  \"manager_plane_event_cut_pct\": {mgr_cut:.1},");
     println!("  \"worker_plane_event_cut_pct\": {wp_cut:.1},");
     println!("  \"total_event_cut_pct\": {total_cut:.1},");
@@ -244,6 +283,8 @@ fn main() {
         "    \"altocumulus_int_4x16\": {{ \"wall_ms\": 12.54, \"peak_event_queue\": 20004 }},"
     );
     println!("    \"nebula_jbsq\": {{ \"wall_ms\": 7.88 }},");
+    println!("    \"rack_32x32_fixed\": {{ \"wall_ms\": 93.42, \"route_ms\": 32.50, \"hw_threads\": 2 }},");
+    println!("    \"rack_32x32_fixed_note\": \"before the allocation-free router and k-way completion merge (per-send live/candidate Vecs, SipHash affinity map, sort of a 64 B/entry rack-wide buffer); best of 7 on the same 2-thread host as the current rows\",");
     println!("    \"note\": \"criterion medians before streaming arrivals + scratch reuse; peak queue was O(trace): all 20k arrivals pre-pushed\"");
     println!("  }}");
     println!("}}");

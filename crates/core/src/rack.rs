@@ -52,7 +52,9 @@ use simcore::faults::FaultPlan;
 use simcore::rng::{stream_rng, streams, BatchedRng};
 use simcore::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use workload::request::{Completion, Request, RequestId};
 use workload::trace::Trace;
 
@@ -488,14 +490,41 @@ fn run_server(spec: &ServerSpec, trace: &Trace) -> ServerOutcome {
     }
 }
 
+/// Connection-id hasher for the affinity table: one Fibonacci multiply.
+/// Deterministic and much cheaper than SipHash; the table is looked up by
+/// key only, never iterated, so its order cannot leak into results.
+#[derive(Default)]
+struct ConnHasher(u64);
+
+impl Hasher for ConnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = u64::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Serial routing-pass state (see [`RackWorld::route`]).
+///
+/// Invariants: send instants are non-decreasing (retries due at or before
+/// an arrival are drained before it, and a retry is always scheduled after
+/// its send), so the live set can only shrink, and only when a send crosses
+/// a detection instant. Every per-send structure is reused, so routing
+/// allocates nothing per request beyond amortized growth of its outputs.
 struct Router<'a> {
     cfg: &'a RackConfig,
     trace: &'a Trace,
     rng: BatchedRng<StdRng>,
-    /// Connection → bound server (looked up by key only, never iterated,
-    /// so the map's order cannot leak into results).
-    bind: HashMap<u32, usize>,
+    /// Connection → bound server.
+    bind: HashMap<u32, usize, BuildHasherDefault<ConnHasher>>,
     /// Per-server downlink drain clock (ps).
     port_busy: Vec<u64>,
     /// Per-server estimated-finish heap: the ToR's outstanding counter.
@@ -508,6 +537,16 @@ struct Router<'a> {
     death_ps: Vec<Option<u64>>,
     /// Detection instant per server (ps).
     detect_ps: Vec<Option<u64>>,
+    /// `(detection instant ps, server)`, ascending; entries before
+    /// `next_detection` are already removed from `live`.
+    detections: Vec<(u64, usize)>,
+    next_detection: usize,
+    /// Servers not detected dead at the latest send instant, ascending.
+    live: Vec<usize>,
+    /// Scratch: sampled indices into `live` for one decision.
+    picked: Vec<usize>,
+    /// Latest send instant (ps), for the ordering invariant.
+    last_send_ps: u64,
     /// Finalized sub-traces of dead servers (already simulated).
     final_trace: Vec<Option<Trace>>,
     dead_runs: Vec<Option<ServerOutcome>>,
@@ -532,26 +571,43 @@ impl Router<'_> {
         self.load[s].len()
     }
 
+    /// Advances the live set to `send_ps`: drops every server whose
+    /// detection instant has been reached.
+    fn advance_live(&mut self, send_ps: u64) {
+        debug_assert!(
+            send_ps >= self.last_send_ps,
+            "rack sends must be non-decreasing in time"
+        );
+        self.last_send_ps = send_ps;
+        while let Some(&(at, s)) = self.detections.get(self.next_detection) {
+            if at > send_ps {
+                break;
+            }
+            self.live.retain(|&l| l != s);
+            self.next_detection += 1;
+        }
+    }
+
     /// Least-loaded of `power_k` sampled live candidates (tie → lowest
     /// index). Sampling is skipped — zero draws — when `k` covers the
     /// whole live set.
-    fn sample_best(&mut self, live: &[usize], now_ps: u64) -> usize {
-        let k = self.cfg.policy.power_k.min(live.len());
-        let cands: Vec<usize> = if k == live.len() {
-            live.to_vec()
+    fn sample_best(&mut self, now_ps: u64) -> usize {
+        let n = self.live.len();
+        let k = self.cfg.policy.power_k.min(n);
+        self.picked.clear();
+        if k == n {
+            self.picked.extend(0..n);
         } else {
-            let mut picked: Vec<usize> = Vec::with_capacity(k);
-            while picked.len() < k {
-                let i = self.rng.random_range(0..live.len());
-                if !picked.contains(&i) {
-                    picked.push(i);
+            while self.picked.len() < k {
+                let i = self.rng.random_range(0..n);
+                if !self.picked.contains(&i) {
+                    self.picked.push(i);
                 }
             }
-            picked.into_iter().map(|i| live[i]).collect()
-        };
-        let mut best = cands[0];
-        let mut best_load = self.load_of(best, now_ps);
-        for &s in &cands[1..] {
+        }
+        let (mut best, mut best_load) = (usize::MAX, usize::MAX);
+        for j in 0..k {
+            let s = self.live[self.picked[j]];
             let l = self.load_of(s, now_ps);
             if l < best_load || (l == best_load && s < best) {
                 best = s;
@@ -561,17 +617,20 @@ impl Router<'_> {
         best
     }
 
-    /// Applies the two-level policy: affinity first, power-of-k least-load
-    /// where a decision is needed.
-    fn pick(&mut self, live: &[usize], conn: u32, now_ps: u64) -> usize {
-        if live.len() == 1 {
+    /// Applies the two-level policy over the live set: affinity first,
+    /// power-of-k least-load where a decision is needed.
+    fn pick(&mut self, conn: u32, now_ps: u64) -> usize {
+        if self.live.len() == 1 {
             // No choice to make and no RNG to draw (this keeps a 1-server
-            // rack byte-identical to the bare server).
-            let s = live[0];
-            if self.cfg.policy.affinity && self.bind.insert(conn, s) != Some(s) {
-                self.stats.new_bindings += 1;
-            } else if self.cfg.policy.affinity {
-                self.stats.affinity_hits += 1;
+            // rack byte-identical to the bare server). A connection bound
+            // elsewhere was bound to a server detected dead.
+            let s = self.live[0];
+            if self.cfg.policy.affinity {
+                match self.bind.insert(conn, s) {
+                    None => self.stats.new_bindings += 1,
+                    Some(b) if b == s => self.stats.affinity_hits += 1,
+                    Some(_) => self.stats.dead_rebinds += 1,
+                }
             }
             return s;
         }
@@ -583,12 +642,12 @@ impl Router<'_> {
         };
         if let Some(b) = bound {
             if self.is_detected_dead(b, now_ps) {
-                let best = self.sample_best(live, now_ps);
+                let best = self.sample_best(now_ps);
                 self.stats.dead_rebinds += 1;
                 self.bind.insert(conn, best);
                 return best;
             }
-            let best = self.sample_best(live, now_ps);
+            let best = self.sample_best(now_ps);
             let lb = self.load_of(b, now_ps) as u64;
             let lbest = self.load_of(best, now_ps) as u64;
             if lb > u64::from(pol.spill_factor) * lbest + u64::from(pol.spill_slack) {
@@ -599,7 +658,7 @@ impl Router<'_> {
             self.stats.affinity_hits += 1;
             return b;
         }
-        let best = self.sample_best(live, now_ps);
+        let best = self.sample_best(now_ps);
         if pol.affinity {
             self.stats.new_bindings += 1;
             self.bind.insert(conn, best);
@@ -610,15 +669,13 @@ impl Router<'_> {
     /// Routes one send (first attempt or retry) of global request
     /// `global` at instant `send_ps`.
     fn route_one(&mut self, global: usize, send_ps: u64) {
-        let live: Vec<usize> = (0..self.cfg.servers)
-            .filter(|&s| !self.is_detected_dead(s, send_ps))
-            .collect();
-        if live.is_empty() {
+        self.advance_live(send_ps);
+        if self.live.is_empty() {
             self.stats.lost += 1;
             return;
         }
         let r = self.trace.requests()[global];
-        let s = self.pick(&live, r.conn.0, send_ps);
+        let s = self.pick(r.conn.0, send_ps);
 
         // ToR hop: switch latency + store-and-forward on the downlink.
         let ser = self.cfg.tor.serialization(r.size_bytes).as_ps();
@@ -709,6 +766,49 @@ impl Router<'_> {
     }
 }
 
+/// The completions of a server credited to the rack: those that finished
+/// strictly before its death, if it dies. Engines record completions at
+/// their finish event, so `list` is non-decreasing in `finish` and the
+/// credited ones form a prefix.
+fn alive_prefix(list: &[Completion], death: Option<SimTime>) -> &[Completion] {
+    match death {
+        Some(d) => &list[..list.partition_point(|c| c.finish < d)],
+        None => list,
+    }
+}
+
+/// Deterministic merge of per-server completion lists, each non-decreasing
+/// in `finish`: calls `emit(server, completion)` for every completion in
+/// `(finish, server, completion-seq)` order, so equal-finish ties never
+/// depend on thread scheduling and a 1-server rack preserves its server's
+/// completion order exactly. A k-way merge over a heap of at most one head
+/// per server.
+fn merge_by_finish<'a>(lists: &[&'a [Completion]], mut emit: impl FnMut(usize, &'a Completion)) {
+    // (finish ps, server, position): one entry per non-exhausted list, so
+    // (finish, server) is unique and the position never breaks a tie.
+    let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = lists
+        .iter()
+        .enumerate()
+        .filter_map(|(s, l)| l.first().map(|c| Reverse((c.finish.as_ps(), s, 0))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((finish, s, i)) = *head;
+        emit(s, &lists[s][i]);
+        match lists[s].get(i + 1) {
+            Some(c) => {
+                debug_assert!(
+                    c.finish.as_ps() >= finish,
+                    "server {s} completions out of finish order"
+                );
+                *head = Reverse((c.finish.as_ps(), s, i + 1));
+            }
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+}
+
 impl RackWorld {
     /// Creates the rack.
     ///
@@ -741,21 +841,30 @@ impl RackWorld {
         deaths.sort_unstable();
         let mut death_ps = vec![None; n];
         let mut detect_ps = vec![None; n];
+        // A constant detect delay keeps detections in death order.
+        let mut detections = Vec::with_capacity(deaths.len());
         for &(at, s) in &deaths {
+            let detect = at + self.cfg.tor.detect_delay.as_ps();
             death_ps[s] = Some(at);
-            detect_ps[s] = Some(at + self.cfg.tor.detect_delay.as_ps());
+            detect_ps[s] = Some(detect);
+            detections.push((detect, s));
         }
         let mut router = Router {
             cfg: &self.cfg,
             trace,
             rng: BatchedRng::new(stream_rng(self.cfg.seed, streams::RACK)),
-            bind: HashMap::new(),
+            bind: HashMap::default(),
             port_busy: vec![0; n],
             load: vec![BinaryHeap::new(); n],
             sub: vec![Vec::new(); n],
             map: vec![Vec::new(); n],
             death_ps,
             detect_ps,
+            detections,
+            next_detection: 0,
+            live: (0..n).collect(),
+            picked: Vec::with_capacity(self.cfg.policy.power_k.min(n)),
+            last_send_ps: 0,
             final_trace: (0..n).map(|_| None).collect(),
             dead_runs: (0..n).map(|_| None).collect(),
             retries: BinaryHeap::new(),
@@ -800,39 +909,22 @@ impl RackWorld {
         });
 
         let cores = self.cfg.cores_per_server();
-        // Deterministic merge: sort key is (finish, server, per-server
-        // completion sequence), so equal-finish ties never depend on
-        // thread scheduling and a 1-server rack preserves its server's
-        // completion order exactly.
-        let mut merged: Vec<(u64, usize, u64, Completion)> = Vec::with_capacity(trace.len());
-        let mut credited = vec![0usize; self.cfg.servers];
-        for (s, out) in outcomes.iter().enumerate() {
-            let cut = self.cfg.death_of(s).map(|t| t.as_ps());
-            for (ci, c) in out.system().completions.iter().enumerate() {
-                if cut.is_some_and(|d| c.finish.as_ps() >= d) {
-                    continue;
-                }
-                credited[s] += 1;
-                let global = routing.global_of[s][c.id.0 as usize];
-                merged.push((
-                    c.finish.as_ps(),
-                    s,
-                    ci as u64,
-                    Completion {
-                        id: RequestId(global as u64),
-                        arrival: trace.requests()[global].arrival,
-                        finish: c.finish,
-                        core: s * cores + c.core,
-                        migrated: c.migrated,
-                    },
-                ));
-            }
-        }
-        merged.sort_unstable_by_key(|&(f, s, ci, _)| (f, s, ci));
-        let mut system = SystemResult::with_capacity(merged.len());
-        for (_, _, _, c) in merged {
-            system.record(c);
-        }
+        let credited: Vec<&[Completion]> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(s, out)| alive_prefix(&out.system().completions, self.cfg.death_of(s)))
+            .collect();
+        let mut system = SystemResult::with_capacity(credited.iter().map(|l| l.len()).sum());
+        merge_by_finish(&credited, |s, c| {
+            let global = routing.global_of[s][c.id.0 as usize];
+            system.record(Completion {
+                id: RequestId(global as u64),
+                arrival: trace.requests()[global].arrival,
+                finish: c.finish,
+                core: s * cores + c.core,
+                migrated: c.migrated,
+            });
+        });
 
         let per_server = outcomes
             .iter()
@@ -841,7 +933,7 @@ impl RackWorld {
                 label: format!("srv{s}"),
                 engine: out.engine(),
                 assigned: routing.sub_traces[s].len(),
-                completed: credited[s],
+                completed: credited[s].len(),
                 events: out.events(),
                 peak_queue: out.peak_queue(),
             })
@@ -893,6 +985,91 @@ mod tests {
         cfg.tor.retry_timeout = SimDuration::from_ns(1);
         cfg.tor.detect_delay = SimDuration::from_us(50);
         RackWorld::new(cfg);
+    }
+
+    /// Completion `id` finishing at `finish_ns`.
+    fn done(id: u64, finish_ns: u64) -> Completion {
+        Completion {
+            id: RequestId(id),
+            arrival: SimTime::ZERO,
+            finish: SimTime::from_ns(finish_ns),
+            core: 0,
+            migrated: false,
+        }
+    }
+
+    /// Oracle: filter each server's list by its death cut, then sort by
+    /// `(finish, server, completion-seq)`.
+    fn sorted_oracle(
+        lists: &[Vec<Completion>],
+        deaths: &[Option<SimTime>],
+    ) -> Vec<(usize, Completion)> {
+        let mut all = Vec::new();
+        for (s, list) in lists.iter().enumerate() {
+            for (seq, c) in list.iter().enumerate() {
+                if deaths[s].is_none_or(|d| c.finish < d) {
+                    all.push((c.finish, s, seq, *c));
+                }
+            }
+        }
+        all.sort_unstable_by_key(|&(f, s, seq, _)| (f, s, seq));
+        all.into_iter().map(|(_, s, _, c)| (s, c)).collect()
+    }
+
+    fn k_way(lists: &[Vec<Completion>], deaths: &[Option<SimTime>]) -> Vec<(usize, Completion)> {
+        let cut: Vec<&[Completion]> = lists
+            .iter()
+            .zip(deaths)
+            .map(|(l, &d)| alive_prefix(l, d))
+            .collect();
+        let mut out = Vec::new();
+        merge_by_finish(&cut, |s, c| out.push((s, *c)));
+        out
+    }
+
+    #[test]
+    fn merge_breaks_equal_finish_ties_by_server_then_sequence() {
+        let lists = vec![
+            vec![done(0, 5), done(1, 5), done(2, 7)],
+            vec![done(10, 5), done(11, 6), done(12, 7), done(13, 7)],
+            vec![],
+            vec![done(30, 1), done(31, 7)],
+        ];
+        let deaths = [None; 4];
+        let got = k_way(&lists, &deaths);
+        assert_eq!(got, sorted_oracle(&lists, &deaths));
+        let ids: Vec<u64> = got.iter().map(|(_, c)| c.id.0).collect();
+        assert_eq!(ids, [30, 0, 1, 10, 11, 2, 12, 13, 31]);
+    }
+
+    #[test]
+    fn death_cut_drops_every_completion_at_or_after_the_death() {
+        let lists = vec![
+            vec![done(0, 3), done(1, 5), done(2, 5), done(3, 5), done(4, 8)],
+            vec![done(10, 4), done(11, 5), done(12, 9)],
+            vec![done(20, 2), done(21, 6), done(22, 6), done(23, 7)],
+        ];
+        // Server 0 dies exactly at a finish shared by three completions,
+        // server 2 between two runs of equal finishes.
+        let deaths = [Some(SimTime::from_ns(5)), None, Some(SimTime::from_ns(7))];
+        let got = k_way(&lists, &deaths);
+        assert_eq!(got, sorted_oracle(&lists, &deaths));
+        assert_eq!(alive_prefix(&lists[0], deaths[0]).len(), 1);
+        assert_eq!(alive_prefix(&lists[2], deaths[2]).len(), 3);
+        assert_eq!(alive_prefix(&lists[1], None).len(), 3);
+        // A death before every finish credits nothing; after all, everything.
+        assert!(alive_prefix(&lists[1], Some(SimTime::from_ns(1))).is_empty());
+        assert_eq!(alive_prefix(&lists[1], Some(SimTime::from_ns(10))).len(), 3);
+    }
+
+    #[test]
+    fn merge_of_empty_and_single_lists() {
+        assert!(k_way(&[vec![], vec![]], &[None, None]).is_empty());
+        let one = vec![vec![done(0, 4), done(1, 4), done(2, 9)]];
+        let got = k_way(&one, &[None]);
+        assert_eq!(got, sorted_oracle(&one, &[None]));
+        let ids: Vec<u64> = got.iter().map(|(_, c)| c.id.0).collect();
+        assert_eq!(ids, [0, 1, 2], "one server keeps its completion order");
     }
 
     #[test]

@@ -26,12 +26,17 @@
 //! telemetry may add only the recorder's own amortized ring growth (span
 //! log doubling), nothing per-event beyond it.
 //!
+//! A last regime pins the rack tier's serial routing pass: doubling the
+//! trace may add only the log-amortized growth of the routing outputs
+//! (per-server sub-traces, id maps, load heaps), never a per-request
+//! allocation.
+//!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml): the
 //! global counter is process-wide, and libtest's own main thread allocates
 //! lazily mid-test (its channel-receive context), polluting the deltas — a
 //! plain `fn main` keeps the process single-threaded.
 
-use altocumulus::{AcConfig, Altocumulus, Telemetry, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, Telemetry, WorkerPlane};
 use simcore::alloc::CountingAlloc;
 use simcore::time::SimDuration;
 use simcore::trace::{Granularity, Recorder};
@@ -147,6 +152,22 @@ fn run_recorded_spans(trace: &Trace) -> (u64, u64) {
     (ALLOC.allocations() - before, r.summary.events)
 }
 
+/// Allocations of one routing pass over a healthy 4-server rack under the
+/// default policy (affinity plus power-of-2 sampling, so every decision
+/// draws candidates and consults the affinity table).
+fn route_allocs(trace: &Trace) -> u64 {
+    let rack = RackWorld::new(RackConfig::ac(4, 2, 8, SimDuration::from_ns(850)));
+    let before = ALLOC.allocations();
+    let routing = rack.route(trace);
+    let allocs = ALLOC.allocations() - before;
+    assert_eq!(
+        routing.sub_traces.iter().map(|t| t.len()).sum::<usize>(),
+        trace.len()
+    );
+    assert!(routing.stats.rack_rng_draws > 0, "power-of-2 must sample");
+    allocs
+}
+
 fn assert_pinned_by(
     label: &str,
     small_trace: &Trace,
@@ -228,6 +249,19 @@ fn main() {
         &trace(60_000, 0.6),
         0.02,
         run_recorded_spans,
+    );
+    // Rack routing pass: the live set, candidate scratch and affinity table
+    // are reused across sends. Each of the three per-server output
+    // vectors may double about once more on twice the requests; anything
+    // per request shows up as thousands.
+    let _ = route_allocs(&trace(20_000, 0.6));
+    let small = route_allocs(&trace(20_000, 0.6));
+    let big = route_allocs(&trace(40_000, 0.6));
+    let tolerance = 2 * 3 * 4;
+    assert!(
+        big <= small + tolerance,
+        "rack-routing: {big} allocations on 2N requests vs {small} on N \
+         (tolerance {tolerance})"
     );
     println!("alloc_budget(altocumulus): all regimes pinned");
 }

@@ -37,6 +37,7 @@ KEYS = [
     "altocumulus_int_32x32_wp_event_driven",
     "altocumulus_int_16x16_event_driven",
     "rack_4x16_ac",
+    "rack_32x32_fixed",
     "nebula_jbsq",
 ]
 THRESHOLD = 1.25

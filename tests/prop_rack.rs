@@ -10,13 +10,18 @@
 //!   assignment, and every offered request either completes exactly once
 //!   (unique global id, latency at least its drawn service time) or is
 //!   counted `lost` — never both, never twice, even when death retries
-//!   re-route a request through a second server.
+//!   re-route a request through a second server;
+//! - the merge reproduces its oracle: `run()` equals `route()` plus
+//!   independent per-server runs plus a `(finish, server, completion-seq)`
+//!   sort of the death-cut completions, and every server's completion list
+//!   is non-decreasing in `finish` (the k-way merge's precondition).
 
-use altocumulus::{RackConfig, RackResult, RackWorld, RoutePolicy, ServerDeath};
+use altocumulus::ServerSpec;
+use altocumulus::{Altocumulus, RackConfig, RackResult, RackWorld, RoutePolicy, ServerDeath};
 use proptest::prelude::*;
 use simcore::faults::FaultPlan;
 use simcore::time::SimTime;
-use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
+use workload::{Completion, PoissonProcess, RequestId, ServiceDistribution, Trace, TraceBuilder};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -114,6 +119,55 @@ fn digest(r: &RackResult) -> String {
     )
 }
 
+/// The rack run rebuilt from its parts: the routing pass, each server's
+/// completions (dead servers were simulated during routing; the rest run
+/// here), the death cut and the `(finish, server, completion-seq)` sort.
+/// Returns the merged completions and the per-server credited counts.
+fn oracle_merge(world: &RackWorld, trace: &Trace) -> (Vec<Completion>, Vec<usize>) {
+    let cfg = world.config();
+    let routing = world.route(trace);
+    let cores = cfg.cores_per_server();
+    let mut merged = Vec::new();
+    let mut credited = Vec::new();
+    for (s, sub) in routing.sub_traces.iter().enumerate() {
+        let completions = match &routing.dead_runs[s] {
+            Some(out) => out.system().completions.clone(),
+            None if sub.is_empty() => Vec::new(),
+            None => {
+                let ServerSpec::Ac(spec) = cfg.server_spec(s) else {
+                    panic!("rack template is AC")
+                };
+                Altocumulus::new(spec).run_detailed(sub).system.completions
+            }
+        };
+        assert!(
+            completions.windows(2).all(|w| w[0].finish <= w[1].finish),
+            "srv{s}: completions are not in finish order"
+        );
+        let death = cfg.death_of(s);
+        credited.push(0);
+        for (seq, c) in completions.iter().enumerate() {
+            if death.is_some_and(|d| c.finish >= d) {
+                continue;
+            }
+            credited[s] += 1;
+            let global = routing.global_of[s][c.id.0 as usize];
+            merged.push((
+                (c.finish, s, seq),
+                Completion {
+                    id: RequestId(global as u64),
+                    arrival: trace.requests()[global].arrival,
+                    finish: c.finish,
+                    core: s * cores + c.core,
+                    migrated: c.migrated,
+                },
+            ));
+        }
+    }
+    merged.sort_unstable_by_key(|&(key, _)| key);
+    (merged.into_iter().map(|(_, c)| c).collect(), credited)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -159,6 +213,20 @@ proptest! {
         // Losses only ever come from a rack whose every server died.
         if r.routing.lost > 0 {
             prop_assert!(case.death_frac.is_some() && case.servers == 1);
+        }
+    }
+
+    #[test]
+    fn rack_merge_matches_the_sorted_oracle(case in case_strategy()) {
+        let (rack, trace) = build(&case);
+        let world = RackWorld::new(rack);
+        let (want, credited) = oracle_merge(&world, &trace);
+        for threads in [1usize, 2] {
+            let r = world.run(&trace, threads);
+            prop_assert_eq!(&r.system.completions, &want, "threads={}", threads);
+            for (s, p) in r.per_server.iter().enumerate() {
+                prop_assert_eq!(p.completed, credited[s], "{}", &p.label);
+            }
         }
     }
 }

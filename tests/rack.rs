@@ -146,3 +146,37 @@ fn whole_server_death_redirects_without_double_counting() {
     }
     assert!(credited[dead] < r.per_server[dead].assigned);
 }
+
+#[test]
+fn rebinding_onto_the_last_live_server_counts_as_dead_rebind() {
+    let mean = ServiceDistribution::bimodal_paper().mean();
+    let connections = 32;
+    let trace = trace_for(0.5, 2 * 16, 8_000, connections, 5);
+    let horizon = trace.requests().last().unwrap().arrival;
+
+    // Two servers under affinity; once server 1's death is detected only
+    // server 0 is live, so every rebind goes through the one-live branch.
+    let mut rack = RackConfig::ac(2, 2, 8, mean);
+    rack.deaths = vec![ServerDeath {
+        server: 1,
+        at: SimTime::from_ps(horizon.as_ps() / 2),
+    }];
+    let r = RackWorld::new(rack).run(&trace, 1);
+    let s = r.routing;
+    assert!(
+        s.new_bindings <= u64::from(connections),
+        "{} new bindings for {connections} connections",
+        s.new_bindings
+    );
+    assert!(
+        s.dead_rebinds > 0,
+        "connections must move off the dead server"
+    );
+    // Every routed send is classified exactly once.
+    assert_eq!(
+        s.new_bindings + s.affinity_hits + s.affinity_rebinds + s.dead_rebinds,
+        r.offered as u64 + s.limbo_redirects + s.death_retries - s.lost
+    );
+    assert_eq!(s.lost, 0);
+    assert_eq!(r.system.completions.len(), r.offered);
+}
