@@ -3,10 +3,9 @@
 # for the representative sim_throughput configuration plus the paper-scale
 # 256-core (16x16) mesh — the latter under both control planes (Elided vs
 # EventDriven) so the manager-plane event-elision win is recorded
-# head-to-head — and a 1024-core (32x32) mesh. The 16x16 and 32x32 elided
-# cases are also run through the quiet-window parallel engine at
-# PAR_THREADS={2,4,8}; each parallel row asserts byte-identical invariants
-# against its serial baseline before being recorded. Writes the result to
+# head-to-head — a 1024-core (32x32) mesh, and two rack-tier rows. Each
+# mesh's elided row asserts the same peak event-queue ledger as its
+# per-event worker-plane oracle before being recorded. Writes the result to
 # BENCH_hotpath.json. Run from the repository root:
 #
 #   ./bench_hotpath.sh

@@ -29,6 +29,12 @@ echo "==> cargo test --workspace --release"
 # below re-run a few of these suites to label their failures.
 cargo test --workspace --release
 
+echo "==> perfbench tests (benchmark workspace)"
+# The repo benchmark is its own workspace under perfbench/, which
+# `--workspace` above does not reach. Build and test it here so a change to
+# the simulator's public API cannot break the benchmark unnoticed.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run"
 # Compile (but do not execute) the criterion benches and the hotpath
 # harness so bench-only code can never rot out of sync with the library.
@@ -114,11 +120,22 @@ echo "==> worker-plane elision gates"
 cargo test -q -p altocumulus --release --test prop_workerplane
 cargo test -q -p schedulers --release dfcfs
 # Engine smoke at the stdout level: the per-event oracle must reproduce the
-# golden fig10 byte stream the elided default just matched above.
+# golden fig10 byte stream the elided default just matched above. The run
+# is recorded too, and every run header must name the oracle engine, so the
+# gate fails if the override stops reaching the engine (the two sides would
+# then both be the elided default, and cmp alone would pass).
 WORKER_PLANE=event_driven cargo run -q -p bench --release --bin fig10_comparison -- --quick \
-  > target/fig10_wp_event_driven.txt
+  --record-out=target/fig10_wp_event_driven.trace.jsonl > target/fig10_wp_event_driven.txt
 cmp target/fig10_quick.txt target/fig10_wp_event_driven.txt
-rm -f target/fig10_wp_event_driven.txt
+runs=$(grep -c '^{"run":' target/fig10_wp_event_driven.trace.jsonl || true)
+oracle_runs=$(grep -c '^{"run":.*"engine":"serial_event_driven"' \
+  target/fig10_wp_event_driven.trace.jsonl || true)
+if [ "$runs" -eq 0 ] || [ "$runs" -ne "$oracle_runs" ]; then
+  echo "WORKER-PLANE ORACLE NOT ENGAGED: $oracle_runs of $runs fig10 runs recorded" \
+    "\"engine\":\"serial_event_driven\"" >&2
+  exit 1
+fi
+rm -f target/fig10_wp_event_driven.txt target/fig10_wp_event_driven.trace.jsonl
 
 echo "==> fault-injection smoke (determinism)"
 # A faulted sweep must be byte-identical across invocations *and* across
@@ -143,20 +160,6 @@ SWEEP_THREADS=4 cargo run -q -p bench --release --bin rack_sweep -- --quick \
 cmp target/rack_sweep_quick.txt target/rack_sweep_b.txt
 cmp target/rack_sweep_quick.txt target/rack_sweep_c.txt
 rm -f target/rack_sweep_b.txt target/rack_sweep_c.txt
-
-echo "==> parallel-engine determinism (PAR_THREADS=4 vs serial)"
-# The quiet-window parallel engine must match the serial engine byte for
-# byte: the same stdout the golden gate pinned above, reproduced with the
-# mesh partitioned across 4 worker threads. The faulted sweep additionally
-# proves the downgrade guard (non-empty fault plans run serially) keeps
-# byte-identity under a PAR_THREADS request.
-PAR_THREADS=4 cargo run -q -p bench --release --bin fig10_comparison -- --quick \
-  > target/fig10_par.txt
-cmp target/fig10_quick.txt target/fig10_par.txt
-PAR_THREADS=4 cargo run -q -p bench --release --bin fault_sweep -- --quick \
-  > target/fault_sweep_par.txt
-cmp target/fault_sweep_quick.txt target/fault_sweep_par.txt
-rm -f target/fig10_par.txt target/fault_sweep_par.txt
 
 echo "==> telemetry-export smoke"
 # Export a real trace from the hotpath harness and lint it: the Chrome-trace

@@ -62,34 +62,6 @@ fn measure(cfg: &AcConfig, t: &workload::Trace) -> Measured {
     best
 }
 
-/// Measure the quiet-window parallel engine at an explicit thread count,
-/// asserting that its invariant outputs (event count, peak serial-queue
-/// occupancy) are byte-identical to the per-event-worker-plane serial
-/// oracle — the bench doubles as a determinism gate on every refresh. The
-/// parallel engine always runs `WorkerPlane::EventDriven` internally (the
-/// quiet-window protocol owns the queue), so its event count matches the
-/// oracle, not the elided serial row; the virtual-ledger peak is identical
-/// across all three engines.
-fn measure_par(cfg: &AcConfig, t: &workload::Trace, threads: usize, oracle: &Measured) -> Measured {
-    let mut best = Measured::unmeasured();
-    for _ in 0..ITERS {
-        let mut sys = Altocumulus::new(cfg.clone());
-        let start = Instant::now();
-        let r = sys.run_detailed_par(t, threads);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(r.system.completions.len(), t.len());
-        best.wall_ms = best.wall_ms.min(ms);
-        best.events = r.summary.events;
-        best.peak_queue = r.summary.peak_queue;
-    }
-    assert_eq!(best.events, oracle.events, "parallel engine diverged");
-    assert_eq!(
-        best.peak_queue, oracle.peak_queue,
-        "parallel engine diverged"
-    );
-    best
-}
-
 fn hw_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -112,9 +84,8 @@ fn emit(label: &str, m: &Measured, trailing_comma: bool) {
     if let Some(route_ms) = m.route_ms {
         println!("    \"route_ms\": {route_ms:.2},");
     }
-    // Recorded per row (not just globally) so drift checks can tell
-    // whether a PAR_THREADS row was measured with real parallelism or is
-    // just engine overhead on a single hardware thread.
+    // Recorded per row (not just globally) so a row compared on its own
+    // still says what kind of host measured it.
     println!("    \"hw_threads\": {}", hw_threads());
     println!("  }}{}", if trailing_comma { "," } else { "" });
 }
@@ -148,14 +119,8 @@ fn main() {
         "worker-plane elision perturbed the virtual peak ledger"
     );
 
-    // Parallel-engine rows: the same 16x16 case through the quiet-window
-    // engine at 2/4/8 worker threads, plus a 1024-core (32x32 mesh, 64
-    // groups x 16) case. Each parallel row asserts byte-identical
-    // invariants against the per-event-worker-plane serial oracle.
-    let par16: Vec<(usize, Measured)> = [2usize, 4, 8]
-        .iter()
-        .map(|&n| (n, measure_par(&big_cfg, &t256, n, &big_wp_oracle)))
-        .collect();
+    // A 1024-core (32x32 mesh, 64 groups x 16) case, elided and with the
+    // per-event worker-plane oracle.
     let t1024 = trace(1024, 60_000, 0.6);
     let huge_cfg = AcConfig::ac_int(64, 16, mean);
     let huge = measure(&huge_cfg, &t1024);
@@ -166,10 +131,6 @@ fn main() {
         huge.peak_queue, huge_wp_oracle.peak_queue,
         "worker-plane elision perturbed the virtual peak ledger"
     );
-    let par32: Vec<(usize, Measured)> = [2usize, 4, 8]
-        .iter()
-        .map(|&n| (n, measure_par(&huge_cfg, &t1024, n, &huge_wp_oracle)))
-        .collect();
 
     // Rack tier: the CI quick shape (4 AC servers x 16 cores) behind the
     // two-level scheduler, healthy, at the top quick load. One iteration is
@@ -251,16 +212,9 @@ fn main() {
     println!("  \"config_rack32\": \"100k requests, 32 AC servers x 32 cores (2x16), load 0.7, fixed 850ns, 4096 conns, seed 1, one fan-out thread\",");
     println!("  \"iters_best_of\": {ITERS},");
     println!("  \"hw_threads\": {},", hw_threads());
-    println!("  \"par_note\": \"PAR_THREADS rows use the quiet-window parallel engine; invariants asserted byte-identical to serial. With hw_threads=1 these rows measure engine overhead, not speedup.\",");
     emit("altocumulus_int_4x16", &small, true);
     emit("altocumulus_int_16x16_elided", &big_elided, true);
-    for (n, m) in &par16 {
-        emit(&format!("altocumulus_int_16x16_elided_par{n}"), m, true);
-    }
     emit("altocumulus_int_32x32_elided", &huge, true);
-    for (n, m) in &par32 {
-        emit(&format!("altocumulus_int_32x32_elided_par{n}"), m, true);
-    }
     emit(
         "altocumulus_int_16x16_wp_event_driven",
         &big_wp_oracle,

@@ -159,8 +159,8 @@ pub struct AcConfig {
     /// lifecycle events). Like [`ControlPlane`], both modes are
     /// byte-identical in every observable; `Elided` batches
     /// delivery/completion events on analytic timelines. Runs with a
-    /// non-empty fault plan and the parallel engine downgrade to
-    /// `EventDriven` internally regardless of this setting.
+    /// non-empty fault plan downgrade to `EventDriven` internally
+    /// regardless of this setting.
     pub worker_plane: WorkerPlane,
     /// Injected faults. The default (empty) plan reproduces healthy runs
     /// byte-for-byte; see [`simcore::faults`].

@@ -22,7 +22,6 @@ use rpcstack::nic::{NicModel, Transfer};
 use schedulers::common::{QueuedRequest, RpcSystem, SystemResult};
 use simcore::event::{run_streamed, EventQueue, RunSummary, StreamInjector, World};
 use simcore::faults::{NocDecision, NocFaultRng};
-use simcore::parengine::{par_threads, Partitioning};
 use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
 use simcore::slab::{Handle, Slab};
 use simcore::telemetry::{NullSink, Telemetry, TelemetrySink};
@@ -34,7 +33,6 @@ use std::collections::VecDeque;
 use workload::request::Completion;
 use workload::trace::Trace;
 
-mod par;
 mod wp;
 
 /// Counters describing the migration machinery's behaviour during a run.
@@ -118,10 +116,9 @@ pub struct AcResult {
     pub summary: RunSummary,
     /// Fault-injection and recovery counters.
     pub faults: FaultStats,
-    /// Label of the engine that actually drove the run (after eligibility
-    /// resolution): `"serial_elided"`, `"serial_event_driven"`, or
-    /// `"parallel"`. Provenance only — all three produce byte-identical
-    /// observables.
+    /// Label of the engine that actually drove the run (after the fault-plan
+    /// downgrade): `"serial_elided"` or `"serial_event_driven"`. Provenance
+    /// only — both produce byte-identical observables.
     pub engine: &'static str,
     /// Per-stream RNG draw accounting.
     pub rng: RngDraws,
@@ -157,69 +154,10 @@ impl Altocumulus {
     /// instead of the whole trace. Seqs for all arrivals are reserved up
     /// front in trace order, so the pop order — and therefore every result
     /// byte — is identical to the old upfront pre-push.
-    ///
-    /// When the `PAR_THREADS` environment variable is set to ≥ 2 (and the
-    /// run is eligible — multi-group, no fault plan), the parallel
-    /// quiet-window engine drives the run instead; its output is
-    /// byte-identical to the serial engine at every thread count.
     pub fn run_detailed(&mut self, trace: &Trace) -> AcResult {
         // Monomorphized against the no-op sink: the compiled hot path is
         // the telemetry-free one, with zero extra instructions.
-        self.run_with(trace, &mut NullSink, self.auto_mode())
-    }
-
-    /// Like [`run_detailed`](Self::run_detailed), but explicitly parallel
-    /// across `threads` worker threads (groups are split into `threads`
-    /// near-equal contiguous partitions). `threads <= 1`, a single group,
-    /// or a non-empty fault plan all fall back to the serial engine; the
-    /// result is byte-identical either way.
-    pub fn run_detailed_par(&mut self, trace: &Trace, threads: usize) -> AcResult {
-        self.run_with(trace, &mut NullSink, self.even_mode(threads))
-    }
-
-    /// [`run_traced`](Self::run_traced) on the parallel engine; span logs
-    /// and probe rings merge deterministically, byte-identical to serial.
-    pub fn run_traced_par(
-        &mut self,
-        trace: &Trace,
-        tel: &mut Telemetry,
-        threads: usize,
-    ) -> AcResult {
-        self.run_with(trace, tel, self.even_mode(threads))
-    }
-
-    /// Test hook: run parallel under an explicit (possibly permuted)
-    /// partitioning of the groups.
-    #[doc(hidden)]
-    pub fn run_detailed_partitioned(&mut self, trace: &Trace, parts: Partitioning) -> AcResult {
-        self.run_with(trace, &mut NullSink, RunMode::Parallel(parts))
-    }
-
-    /// Test hook: [`run_traced`](Self::run_traced) under an explicit
-    /// partitioning.
-    #[doc(hidden)]
-    pub fn run_traced_partitioned(
-        &mut self,
-        trace: &Trace,
-        tel: &mut Telemetry,
-        parts: Partitioning,
-    ) -> AcResult {
-        self.run_with(trace, tel, RunMode::Parallel(parts))
-    }
-
-    /// The engine mode the `PAR_THREADS` environment knob selects.
-    fn auto_mode(&self) -> RunMode {
-        self.even_mode(par_threads())
-    }
-
-    /// An even contiguous split across `threads` partitions, or serial when
-    /// the run is not eligible.
-    fn even_mode(&self, threads: usize) -> RunMode {
-        if threads >= 2 && self.cfg.groups >= 2 {
-            RunMode::Parallel(Partitioning::even(self.cfg.groups, threads))
-        } else {
-            RunMode::Serial
-        }
+        self.run_with(trace, &mut NullSink)
     }
 
     /// Runs the full simulation while recording request-lifecycle spans and
@@ -234,7 +172,7 @@ impl Altocumulus {
     /// [`crate::telemetry::phase_table`] and
     /// [`simcore::telemetry::ProbeSet::to_jsonl`].
     pub fn run_traced(&mut self, trace: &Trace, tel: &mut Telemetry) -> AcResult {
-        self.run_with(trace, tel, self.auto_mode())
+        self.run_with(trace, tel)
     }
 
     /// Runs the full simulation while recording the executed event sequence
@@ -245,63 +183,28 @@ impl Altocumulus {
     /// Like [`run_traced`](Self::run_traced), recording is non-perturbing:
     /// the sink only observes `(time, seq, event)` ranks the engine already
     /// computed, so the returned [`AcResult`] is byte-identical to
-    /// [`run_detailed`](Self::run_detailed) on the same trace. All three
+    /// [`run_detailed`](Self::run_detailed) on the same trace. Both
     /// engines record the same sequence — the artifact is engine-independent.
     pub fn run_recorded(&mut self, trace: &Trace, rec: &mut Recorder) -> AcResult {
-        self.run_with(trace, rec, self.auto_mode())
+        self.run_with(trace, rec)
     }
 
-    /// Test hook: [`run_recorded`](Self::run_recorded) under an explicit
-    /// partitioning (parallel-engine record/replay coverage).
-    #[doc(hidden)]
-    pub fn run_recorded_partitioned(
-        &mut self,
-        trace: &Trace,
-        rec: &mut Recorder,
-        parts: Partitioning,
-    ) -> AcResult {
-        self.run_with(trace, rec, RunMode::Parallel(parts))
-    }
-
-    /// Resolves the requested [`RunMode`] into the one [`Engine`] that
-    /// drives the run. Every eligibility rule lives here — the three
-    /// dispatch sites of `run_with` (group-store layout, worker-plane
-    /// resolution, event-loop selection) used to re-derive overlapping
-    /// slices of this logic independently:
-    ///
-    /// - A non-empty fault plan forces the serial engine: fault events are
-    ///   rare, cross-group, and RNG-bearing — exactly what the quiet-window
-    ///   protocol serializes anyway, so the parallel path refuses them
-    ///   (trivially byte-identical). The same plan also downgrades the
-    ///   worker plane to the per-event oracle: epoch bumps, straggler
-    ///   inflation, and resteers landing mid-batch all perturb the analytic
-    ///   timelines.
-    /// - A degenerate partitioning (under two parts, or one not covering
-    ///   the mesh) falls back to serial.
-    /// - The parallel engine always runs the worker plane event-driven; its
-    ///   quiet-window protocol owns the queue.
-    fn choose_engine(&self, mode: RunMode) -> Engine {
-        match mode {
-            RunMode::Parallel(p)
-                if self.cfg.faults.is_empty() && p.parts() >= 2 && p.items() == self.cfg.groups =>
-            {
-                Engine::Parallel(p)
-            }
+    /// The one [`Engine`] that drives the run. A non-empty fault plan forces
+    /// the per-event oracle: epoch bumps, straggler inflation, and resteers
+    /// landing mid-batch all perturb the elided worker plane's analytic
+    /// timelines. Otherwise the configured (or `WORKER_PLANE`-overridden)
+    /// worker plane decides. The variable is read on faulted runs too, so a
+    /// malformed value panics whatever the plan.
+    fn choose_engine(&self) -> Engine {
+        match worker_plane(self.cfg.worker_plane) {
             _ if !self.cfg.faults.is_empty() => Engine::SerialEventDriven,
-            _ => match worker_plane(self.cfg.worker_plane) {
-                WorkerPlane::Elided => Engine::SerialElided,
-                WorkerPlane::EventDriven => Engine::SerialEventDriven,
-            },
+            WorkerPlane::Elided => Engine::SerialElided,
+            WorkerPlane::EventDriven => Engine::SerialEventDriven,
         }
     }
 
-    fn run_with<S: TelemetrySink>(
-        &mut self,
-        trace: &Trace,
-        tel: &mut S,
-        mode: RunMode,
-    ) -> AcResult {
-        let engine = self.choose_engine(mode);
+    fn run_with<S: TelemetrySink>(&mut self, trace: &Trace, tel: &mut S) -> AcResult {
+        let engine = self.choose_engine();
         let cfg = &self.cfg;
         let nic = NicModel::default();
         let attach_transfer = match cfg.attachment {
@@ -429,10 +332,6 @@ impl Altocumulus {
                 upd_pending: Vec::new(),
             })
             .collect();
-        let groups = match &engine {
-            Engine::Parallel(p) => GroupStore::partitioned(groups, p),
-            _ => GroupStore::serial(groups),
-        };
         let noc = MeshNoc::new_square(cfg.total_cores() as u32);
         let topo = (0..cfg.groups)
             .map(|g| {
@@ -557,12 +456,11 @@ impl Altocumulus {
                 queue.push(f.at, Ev::Fault(FaultEv::ManagerFail(f.group as u32)));
             }
         }
-        let summary = match &engine {
+        let summary = match engine {
             Engine::SerialElided => wp::run_elided(&mut world, &mut queue, &mut source),
             Engine::SerialEventDriven => {
                 run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX)
             }
-            Engine::Parallel(p) => par::run_windows(&mut world, &mut queue, &mut source, p),
         };
         world.finalize_idle_accounting(summary.end_time);
         let fault_stats = world.faults.as_ref().map(|f| f.stats).unwrap_or_default();
@@ -600,38 +498,22 @@ impl RpcSystem for Altocumulus {
     }
 }
 
-/// Which engine a caller *requested* for one run. Resolved — eligibility
-/// rules and worker-plane downgrades applied — into an [`Engine`] by
-/// [`Altocumulus::choose_engine`].
-enum RunMode {
-    /// The classic single-threaded loop.
-    Serial,
-    /// The quiet-window engine: partitions of the group mesh execute
-    /// windows of intra-group events on worker threads, with every
-    /// serial-only event (ticks, messages) and all observable output
-    /// replayed on the exact serial `(time, seq)` order.
-    Parallel(Partitioning),
-}
-
-/// The fully resolved engine of one run — the single value the group-store
-/// layout and the event-loop dispatch both match on. All three variants
-/// produce byte-identical observables.
+/// The resolved engine of one run (see [`Altocumulus::choose_engine`]).
+/// Both variants produce byte-identical observables.
+#[derive(Clone, Copy)]
 enum Engine {
     /// Serial loop, worker plane elided onto analytic per-class timelines.
     SerialElided,
     /// Serial loop, every event through the calendar queue (the oracle).
     SerialEventDriven,
-    /// Quiet-window parallel engine (worker plane always event-driven).
-    Parallel(Partitioning),
 }
 
 impl Engine {
     /// Stable label for run artifacts ([`AcResult::engine`]).
-    fn label(&self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Engine::SerialElided => "serial_elided",
             Engine::SerialEventDriven => "serial_event_driven",
-            Engine::Parallel(_) => "parallel",
         }
     }
 }
@@ -710,26 +592,15 @@ fn msg_digest(msg: &Message) -> u64 {
 /// digested by content, and every field the descriptor folds is part of the
 /// observable event sequence.
 fn describe_ev(ev: &Ev, msg_slab: &Slab<Message>) -> (u8, u32, u64) {
-    if let Ev::Msg { dst, msg, .. } = ev {
-        // Observation runs before `handle` takes the payload out of the
-        // arena, so the handle always resolves here.
-        let digest = msg_slab.get(*msg).map_or(0, msg_digest);
-        return (5, *dst, digest);
-    }
-    describe_slabless_ev(ev)
-}
-
-/// [`describe_ev`] for the event variants that carry no arena payload —
-/// everything a parallel shard can execute, so shard-side recording needs
-/// no access to the world's message slab.
-fn describe_slabless_ev(ev: &Ev) -> (u8, u32, u64) {
     match ev {
         Ev::Enqueue(g, idx) => (0, *g, *idx as u64),
         Ev::Deliver(g, w, h) => (1, *g, ((*w as u64) << 32) | h.index() as u64),
         Ev::WorkerDone(g, w, epoch) => (2, *g, ((*w as u64) << 32) | *epoch as u64),
         Ev::MgrOpDone(g) => (3, *g, 0),
         Ev::Tick(g) => (4, *g, 0),
-        Ev::Msg { .. } => unreachable!("Msg descriptors need the message arena"),
+        // Observation runs before `handle` takes the payload out of the
+        // arena, so the handle always resolves here.
+        Ev::Msg { dst, msg, .. } => (5, *dst, msg_slab.get(*msg).map_or(0, msg_digest)),
         Ev::RecvDrained(g) => (6, *g, 0),
         Ev::Fault(fe) => {
             let (group, payload) = match fe {
@@ -775,7 +646,7 @@ enum Ev {
         /// The queue sequence number this event was pushed under.
         seq: u64,
         /// Payload handle, resolved in the world's message arena
-        /// (`AcWorld::msg_slab`); messages never enter worker shards.
+        /// (`AcWorld::msg_slab`).
         msg: Handle,
     },
     /// Receive-FIFO slot at manager `group` drained by the migrator.
@@ -801,10 +672,8 @@ enum FaultEv {
 
 /// The *hot* plane of one group: exactly the state the per-event request
 /// lifecycle (`Enqueue`/`Deliver`/`WorkerDone`/`MgrOpDone`/`RecvDrained`)
-/// reads and writes. This is also the state that moves into worker shards
-/// of the parallel engine, so everything a shard-handled event touches must
-/// live here. Everything only the serial control plane (ticks, messages,
-/// faults) touches lives in [`GroupCold`], a dense parallel `Vec` on
+/// reads and writes. Everything only the control plane (ticks, messages,
+/// faults) touches lives in [`GroupCold`], a dense side `Vec` on
 /// [`AcWorld`], keeping this struct — and therefore the cache footprint of
 /// a hot handler — small.
 struct Group {
@@ -836,11 +705,11 @@ struct Group {
     arrivals_since_tick: u64,
 }
 
-/// The *cold* plane of one group: state only the serial control plane —
-/// periodic ticks, protocol messages, dormancy bookkeeping — ever touches.
-/// Stored as a dense `Vec<GroupCold>` on [`AcWorld`] (never lent to
-/// parallel shards), indexed by group id in lockstep with the hot
-/// [`Group`] store.
+/// The *cold* plane of one group: state only the control plane — periodic
+/// ticks, protocol messages, dormancy bookkeeping — ever touches. Stored as
+/// a dense `Vec<GroupCold>` on [`AcWorld`], indexed by group id in lockstep
+/// with the hot [`Group`]s, so per-request handlers never pull the PR
+/// vector, estimator or mailboxes into cache.
 struct GroupCold {
     /// Latest known queue length of every manager (PR `q` vector).
     q_view: Vec<u32>,
@@ -924,85 +793,6 @@ impl Group {
     fn push_netrx(&mut self, qr: QueuedRequest) {
         self.stage_hint = if qr.migrated { self.stage_hint + 1 } else { 0 };
         self.netrx.push_back(qr);
-    }
-}
-
-/// Owns every [`Group`], laid out by partition so the parallel engine can
-/// lend whole partitions to worker threads as owned `Vec<Group>`s (the
-/// crate forbids `unsafe`, so shards receive their groups by move, not by
-/// pointer).
-///
-/// Serial runs use a single partition; indexing cost is one extra slot
-/// lookup either way, and `world.groups[g]` syntax is preserved through the
-/// `Index` impls.
-struct GroupStore {
-    parts: Vec<Vec<Group>>,
-    /// `slots[g] = (partition, offset within it)`.
-    slots: Vec<(u32, u32)>,
-}
-
-impl GroupStore {
-    /// All groups in one partition (the serial layout).
-    fn serial(groups: Vec<Group>) -> Self {
-        let slots = (0..groups.len()).map(|g| (0, g as u32)).collect();
-        GroupStore {
-            parts: vec![groups],
-            slots,
-        }
-    }
-
-    /// Groups laid out by `partitioning`: partition `p` holds the groups of
-    /// `partitioning.ranges()[p]`, in ascending group order.
-    fn partitioned(groups: Vec<Group>, partitioning: &Partitioning) -> Self {
-        assert_eq!(groups.len(), partitioning.items());
-        let mut slots = vec![(0u32, 0u32); groups.len()];
-        let mut take: Vec<Option<Group>> = groups.into_iter().map(Some).collect();
-        let parts = partitioning
-            .ranges()
-            .iter()
-            .enumerate()
-            .map(|(p, r)| {
-                r.clone()
-                    .enumerate()
-                    .map(|(off, g)| {
-                        slots[g] = (p as u32, off as u32);
-                        take[g].take().expect("ranges are disjoint")
-                    })
-                    .collect()
-            })
-            .collect();
-        GroupStore { parts, slots }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Moves partition `p`'s groups out (for a worker shard); the slot stays
-    /// reserved and must be refilled with [`put_part`](Self::put_part)
-    /// before any group of `p` is accessed again.
-    fn take_part(&mut self, p: usize) -> Vec<Group> {
-        std::mem::take(&mut self.parts[p])
-    }
-
-    fn put_part(&mut self, p: usize, groups: Vec<Group>) {
-        debug_assert!(self.parts[p].is_empty(), "partition {p} already present");
-        self.parts[p] = groups;
-    }
-}
-
-impl std::ops::Index<usize> for GroupStore {
-    type Output = Group;
-    fn index(&self, g: usize) -> &Group {
-        let (p, off) = self.slots[g];
-        &self.parts[p as usize][off as usize]
-    }
-}
-
-impl std::ops::IndexMut<usize> for GroupStore {
-    fn index_mut(&mut self, g: usize) -> &mut Group {
-        let (p, off) = self.slots[g];
-        &mut self.parts[p as usize][off as usize]
     }
 }
 
@@ -1186,10 +976,9 @@ struct AcWorld<'t, S: TelemetrySink> {
     noc: MeshNoc,
     dispatch_op: SimDuration,
     intra_transfer: Transfer,
-    groups: GroupStore,
-    /// Cold per-group state, parallel to `groups` by id. Only serial
-    /// control-plane code (ticks, messages, faults, dormancy) touches it,
-    /// so it never moves into parallel shards.
+    groups: Vec<Group>,
+    /// Cold per-group state, indexed like `groups`. Only control-plane code
+    /// (ticks, messages, faults, dormancy) touches it.
     cold: Vec<GroupCold>,
     /// Arena for protocol-message payloads: `Ev::Msg` carries an 8-byte
     /// handle into this slab instead of an inline [`Message`] (whose
@@ -1350,9 +1139,9 @@ fn send_msg_via(
 /// `Deliver`, `WorkerDone`, `MgrOpDone`) — mutate only their own group plus
 /// three global channels: follow-up event pushes, telemetry span points,
 /// and completion records. Routing those through this trait lets one
-/// handler body serve both the serial loop ([`SerialSink`] applies effects
-/// directly) and a worker shard of the parallel engine (`par::ShardSink`
-/// records them for an order-exact replay on the main thread).
+/// handler body serve both engines: the per-event oracle ([`SerialSink`]
+/// pushes follow-ups onto the event queue) and the elided worker plane
+/// (`wp::TimelineSink` parks them on analytic timelines).
 trait QuietSink {
     fn push(&mut self, at: SimTime, ev: Ev);
     fn span(&mut self, track: u32, kind: u16, loc: u32, at: SimTime);
@@ -1381,11 +1170,12 @@ impl<S: TelemetrySink> QuietSink for SerialSink<'_, S> {
     }
 }
 
-/// Read-only context a quiet handler needs, detached from [`AcWorld`] so
-/// the same code can run inside a worker shard that owns nothing but its
-/// partition's groups. The fault-layer inputs are per-group slices; the
-/// empty slices / `false` flags are the healthy fast path, and the only one
-/// shards ever see (faulted runs stay serial).
+/// Read-only context a quiet handler needs, detached from [`AcWorld`] so a
+/// handler can hold it alongside `&mut` borrows of one group and of its
+/// sink's targets (other `AcWorld` fields). The fault-layer inputs are
+/// per-group slices; the empty slices / `false` flags are the healthy fast
+/// path, and the only one the elided engine ever sees (faulted runs take
+/// the per-event oracle).
 struct QuietEnv<'a> {
     trace: &'a Trace,
     cfg: &'a AcConfig,

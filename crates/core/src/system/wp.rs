@@ -31,8 +31,7 @@
 //!   ties refill, because reserved arrival seqs precede dynamic ones.
 //! - **Accounting.** `peak_queue` samples the virtual population
 //!   (`queue.len() + held + timeline.len()`) at the oracle's exact sample
-//!   points (after each refill and each handled event), the same virtual
-//!   ledger discipline the parallel engine uses; `end_time` and
+//!   points (after each refill and each handled event); `end_time` and
 //!   `stopped_early` come from a per-event stop check. Only
 //!   `summary.events` legitimately differs: like the elided control plane,
 //!   batched events are not main-loop events, so the count drops by the
@@ -41,10 +40,10 @@
 //!   events that could truncate a planned timeline mid-batch — fault
 //!   strikes (epoch bumps, straggler inflation, resteers) — exist only
 //!   under a non-empty fault plan, and [`super::Altocumulus::run_with`]
-//!   downgrades those runs wholesale to `WorkerPlane::EventDriven`, exactly
-//!   as fault plans downgrade the parallel engine. Migrate landings and
-//!   mailbox drains are main-queue events, so they interleave with the
-//!   timeline at their natural rank and need no truncation either.
+//!   downgrades those runs wholesale to `WorkerPlane::EventDriven`.
+//!   Migrate landings and mailbox drains are main-queue events, so they
+//!   interleave with the timeline at their natural rank and need no
+//!   truncation either.
 //!
 //! RNG draws: the worker plane makes none (NIC steering draws in the
 //! injector, straggler inflation only under a fault plan), so draw counts

@@ -4,7 +4,7 @@
 //! tail-run bound and the single-pass planner are pure layout/traversal
 //! changes: every observable — completions, stats, fault counters,
 //! `peak_queue`, telemetry span chains, probe JSONL — must be byte-identical
-//! however the same simulation is driven. These tests pit the three engines
+//! however the same simulation is driven. These tests pit the two engines
 //! against each other over random configurations, because each engine
 //! stresses a different face of the layout:
 //!
@@ -12,10 +12,7 @@
 //!   (stage-hint staging, register-pass planner, update-log cursors);
 //! - the **per-event serial** oracle routes every delivery/completion
 //!   through the calendar queue as a Copy event resolving in the slab
-//!   arenas (generation checks fire on any aliasing bug);
-//! - the **parallel** engine lends the hot group plane out to shards while
-//!   the cold plane stays serial — a split-brain layout bug (state that
-//!   should be hot but stayed cold, or vice versa) desynchronizes it.
+//!   arenas (generation checks fire on any aliasing bug).
 //!
 //! The case strategy is biased toward migration-heavy meshes (few
 //! connections → RSS imbalance → long migrated tails exercising
@@ -154,10 +151,8 @@ macro_rules! assert_observables_identical {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// All three engines over the compacted layout agree byte-for-byte on
-    /// migration-heavy random configurations. The parallel run uses the
-    /// per-event oracle's event count as its own invariant (both route the
-    /// worker plane through the main queue).
+    /// Both engines over the compacted layout agree byte-for-byte on
+    /// migration-heavy random configurations.
     #[test]
     fn engines_agree_on_compacted_layout(case in case_strategy()) {
         let dist = dist_for(&case);
@@ -165,9 +160,6 @@ proptest! {
         let elided = build(&case, dist.mean(), WorkerPlane::Elided).run_detailed(&trace);
         let oracle = build(&case, dist.mean(), WorkerPlane::EventDriven).run_detailed(&trace);
         assert_observables_identical!(elided, oracle);
-        let par = build(&case, dist.mean(), WorkerPlane::Elided).run_detailed_par(&trace, 2);
-        assert_observables_identical!(par, oracle);
-        prop_assert_eq!(par.summary.events, oracle.summary.events);
     }
 
     /// Traced runs: span chains and probe JSONL are part of the byte

@@ -3,9 +3,9 @@
 //! The recorded event stream is an *engine-independent* run identity: on
 //! any configuration, the `TRACE/1.0` artifact produced with a recording
 //! sink attached must be identical — event for event, at exact `(time,
-//! seq)` rank — whether the run executed on the elided serial engine, the
-//! event-driven serial engine, or the quiet-window parallel engine at any
-//! thread count. A summary-granularity recording (the golden-trace format)
+//! seq)` rank — whether the run executed on the elided engine or the
+//! event-driven oracle. A summary-granularity recording (the golden-trace
+//! format)
 //! must likewise verify digest-for-digest against a full re-recording,
 //! which is exactly what the `replay` binary does for a golden gate.
 //!
@@ -23,7 +23,6 @@ use simcore::trace::{
     first_divergence, parse_artifact, render_divergence, validate_artifact, write_artifact_meta,
     write_run_section, Divergence, Granularity, ParsedRun, Recorder, RunMeta, RunTotals,
 };
-use simcore::Partitioning;
 use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
 
 #[derive(Debug, Clone)]
@@ -38,7 +37,7 @@ struct Case {
 
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
-        2usize..6, // groups (>= 2 so the parallel engine engages)
+        2usize..6, // groups (>= 2 so managers exchange protocol messages)
         2usize..7, // group_size
         0.05f64..0.9,
         1u32..32,
@@ -73,18 +72,14 @@ fn trace_for(case: &Case, requests: usize) -> Trace {
         .build()
 }
 
-/// Records one run of `case` on the engine selected by `(plane, threads)`
-/// and parses the section back: `threads == 1` degenerates the
-/// partitioning, so the serial engine chosen by `plane` runs; `threads >=
-/// 2` engages the quiet-window parallel engine (which ignores `plane`).
-/// `config_fp`/`trace_fp` are pinned to 0 — the worker-plane knob is part
+/// Records one run of `case` on the engine selected by `plane` and parses
+/// the section back. `config_fp`/`trace_fp` are pinned to 0 — the worker-plane knob is part
 /// of the config fingerprint by design, and this suite compares *event
 /// streams* across engines, not provenance (which has its own unit tests).
 fn record(
     case: &Case,
     trace: &Trace,
     plane: WorkerPlane,
-    threads: usize,
     perturb: Option<u64>,
     granularity: Granularity,
 ) -> ParsedRun {
@@ -95,8 +90,7 @@ fn record(
     let seed = cfg.seed;
     let mut sys = Altocumulus::new(cfg);
     let mut rec = Recorder::new(granularity).with_perturb(perturb);
-    let parts = Partitioning::even(case.groups, threads);
-    let res = sys.run_recorded_partitioned(trace, &mut rec, parts);
+    let res = sys.run_recorded(trace, &mut rec);
     let meta = RunMeta {
         label: "case".into(),
         engine: res.engine,
@@ -141,30 +135,26 @@ fn diff_of(expected: &ParsedRun, actual: &ParsedRun) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Record -> replay round-trips divergence-free across all three
-    /// engines and `PAR_THREADS` in {1, 4}: the full event stream of the
-    /// elided serial engine, the event-driven serial engine, and the
-    /// parallel engine are pairwise identical, and a summary-granularity
-    /// recording (the golden format) verifies against a full re-record.
+    /// Record -> replay round-trips divergence-free across both engines:
+    /// the full event streams of the elided engine and the event-driven
+    /// oracle are identical, and a summary-granularity recording (the
+    /// golden format) verifies against a full re-record on the other
+    /// engine.
     #[test]
     fn round_trip_is_engine_invariant(case in case_strategy()) {
         let trace = trace_for(&case, 2_000);
-        let elided = record(&case, &trace, WorkerPlane::Elided, 1, None, Granularity::Full);
-        let ev = record(&case, &trace, WorkerPlane::EventDriven, 1, None, Granularity::Full);
-        let par = record(&case, &trace, WorkerPlane::EventDriven, 4, None, Granularity::Full);
+        let elided = record(&case, &trace, WorkerPlane::Elided, None, Granularity::Full);
+        let ev = record(&case, &trace, WorkerPlane::EventDriven, None, Granularity::Full);
         prop_assert_eq!(&elided.engine, "serial_elided");
         prop_assert_eq!(&ev.engine, "serial_event_driven");
-        prop_assert_eq!(&par.engine, "parallel");
         prop_assert!(elided.footer.events > 0);
 
         let d = diff_of(&elided, &ev);
         prop_assert!(d.is_empty(), "elided vs event-driven diverged:\n{}", d);
-        let d = diff_of(&ev, &par);
-        prop_assert!(d.is_empty(), "event-driven vs parallel diverged:\n{}", d);
 
         // Golden flow: summary recording vs full re-record on another engine.
-        let summary = record(&case, &trace, WorkerPlane::Elided, 1, None, Granularity::Summary);
-        let d = diff_of(&summary, &par);
+        let summary = record(&case, &trace, WorkerPlane::Elided, None, Granularity::Summary);
+        let d = diff_of(&summary, &ev);
         prop_assert!(d.is_empty(), "summary vs full replay diverged:\n{}", d);
     }
 
@@ -177,7 +167,7 @@ proptest! {
         pick in 0u64..u64::MAX,
     ) {
         let trace = trace_for(&case, 1_000);
-        let honest = record(&case, &trace, WorkerPlane::EventDriven, 1, None, Granularity::Full);
+        let honest = record(&case, &trace, WorkerPlane::EventDriven, None, Granularity::Full);
         prop_assume!(!honest.events.is_empty());
         let i = (pick % honest.events.len() as u64) as usize;
 
@@ -216,7 +206,6 @@ fn perturbed_recording_is_caught_with_exact_location() {
         &case,
         &trace,
         WorkerPlane::EventDriven,
-        1,
         None,
         Granularity::Full,
     );
@@ -225,7 +214,6 @@ fn perturbed_recording_is_caught_with_exact_location() {
         &case,
         &trace,
         WorkerPlane::EventDriven,
-        1,
         Some(k as u64),
         Granularity::Full,
     );

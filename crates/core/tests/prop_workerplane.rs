@@ -9,9 +9,9 @@
 //! never exceed the oracle's.
 //!
 //! The `fixed_service` dimension packs the schedule with exact time ties —
-//! the hardest case for the `(time, seq)` lane merge — exactly as in
-//! `prop_parengine.rs`; the period strategy avoids multiples of 3 ns for
-//! the tie-freedom reason documented in `prop_control_plane.rs`.
+//! the hardest case for the `(time, seq)` lane merge; the period strategy
+//! avoids multiples of 3 ns for the tie-freedom reason documented in
+//! `prop_control_plane.rs`.
 
 use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface, WorkerPlane};
 use proptest::prelude::*;

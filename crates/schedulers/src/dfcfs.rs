@@ -228,7 +228,7 @@ impl RpcSystem for DFcfs {
         // Fault plans downgrade wholesale to the per-event oracle: `Fail`
         // truncates a core's pending `Done` mid-flight, which the analytic
         // timeline deliberately does not model (same rule as the ALTOCUMULUS
-        // engine and the parallel engine's quiet windows).
+        // engine).
         let plane = if self.cfg.faults.is_empty() {
             worker_plane(self.cfg.worker_plane)
         } else {

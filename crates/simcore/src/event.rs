@@ -626,32 +626,6 @@ impl<L, M> StreamInjector<L, M> {
             make,
         }
     }
-
-    /// Number of stream items injected so far.
-    pub fn injected(&self) -> usize {
-        self.next
-    }
-
-    /// Total number of items in the stream.
-    pub fn total(&self) -> usize {
-        self.len
-    }
-
-    /// Items injected per [`EventSource::inject_chunk`] call.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-}
-
-impl<L: Fn(usize) -> SimTime, M> StreamInjector<L, M> {
-    /// The lower-bound watermark of stream item `idx` (side-effect free; see
-    /// the [`EventSource`] contract). Callers replaying the injection
-    /// schedule virtually — without touching the physical cursor — use this
-    /// to decide when a serial run would have refilled the queue.
-    pub fn bound_of(&self, idx: usize) -> SimTime {
-        debug_assert!(idx < self.len);
-        (self.lower_bound)(idx)
-    }
 }
 
 impl<E, L, M> EventSource<E> for StreamInjector<L, M>

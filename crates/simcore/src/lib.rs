@@ -16,8 +16,6 @@
 //!   keeping event payloads out of the event queue.
 //! - [`alloc`]: a counting global allocator for allocation-budget tests.
 //! - [`parallel`]: deterministic thread fan-out for parameter sweeps.
-//! - [`parengine`]: partitioning and worker-pool plumbing for the
-//!   parallel-in-one-run engine.
 //! - [`timeline`]: `(time, seq)`-ordered analytic timelines for
 //!   worker-plane event elision, plus the [`timeline::WorkerPlane`] knob.
 //! - [`report`]: aligned plain-text tables for experiment output.
@@ -82,7 +80,6 @@ pub mod event;
 pub mod faults;
 pub mod metrics;
 pub mod parallel;
-pub mod parengine;
 pub mod report;
 pub mod rng;
 pub mod slab;
@@ -98,7 +95,6 @@ pub use event::{
 pub use faults::{FaultPlan, NocDecision, NocFaultRng};
 pub use metrics::{LatencyHistogram, LatencySummary, SloTracker};
 pub use parallel::{default_threads, parallel_map, seeded_map};
-pub use parengine::{par_threads, Partitioning};
 pub use stats::{batch_means_ci, MeanCi};
 pub use telemetry::{NullSink, Telemetry, TelemetrySink};
 pub use time::{SimDuration, SimTime};

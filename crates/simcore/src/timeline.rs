@@ -32,8 +32,7 @@
 //!
 //! [`WorkerPlane`] selects between the batched engine and the per-event
 //! differential oracle; [`worker_plane`] reads the `WORKER_PLANE`
-//! environment knob the same way `PAR_THREADS` selects the parallel
-//! engine.
+//! environment knob.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -63,22 +62,46 @@ pub enum WorkerPlane {
     EventDriven,
 }
 
+/// Parses one `WORKER_PLANE` value (case-insensitive, surrounding
+/// whitespace ignored): `elided`, or `event_driven` / `event-driven` /
+/// `eventdriven`. Anything else is `None`.
+pub fn parse_worker_plane(value: &str) -> Option<WorkerPlane> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "elided" => Some(WorkerPlane::Elided),
+        "event_driven" | "event-driven" | "eventdriven" => Some(WorkerPlane::EventDriven),
+        _ => None,
+    }
+}
+
 /// Resolves the effective worker plane: the `WORKER_PLANE` environment
-/// variable (`elided` / `event_driven`, case-insensitive) when set and
-/// well-formed, else `default`.
+/// variable when set, else `default`.
 ///
-/// Note this only selects between byte-identical engines; downgrades that
-/// the engines themselves require (active fault plans, the parallel
-/// engine's quiet-window protocol) are applied *after* this resolution and
-/// cannot be overridden.
+/// Note this only selects between byte-identical engines; the downgrade
+/// the engines themselves require (an active fault plan forces the
+/// per-event oracle) is applied *after* this resolution and cannot be
+/// overridden.
+///
+/// # Panics
+///
+/// Panics if `WORKER_PLANE` is set to a value [`parse_worker_plane`]
+/// rejects: a typo must not silently run the default engine, or a gate
+/// that compares the oracle against the default would compare the default
+/// against itself.
 pub fn worker_plane(default: WorkerPlane) -> WorkerPlane {
-    match std::env::var("WORKER_PLANE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "elided" => WorkerPlane::Elided,
-            "event_driven" | "event-driven" | "eventdriven" => WorkerPlane::EventDriven,
-            _ => default,
-        },
-        Err(_) => default,
+    let value = std::env::var_os("WORKER_PLANE").map(|v| v.to_string_lossy().into_owned());
+    plane_or_default(value.as_deref(), default)
+}
+
+/// [`worker_plane`] over an already-read variable value.
+fn plane_or_default(value: Option<&str>, default: WorkerPlane) -> WorkerPlane {
+    match value {
+        None => default,
+        Some(v) => parse_worker_plane(v).unwrap_or_else(|| {
+            panic!(
+                "WORKER_PLANE={v:?} is not a worker plane; \
+                 accepted: elided, event_driven, event-driven, eventdriven"
+            )
+        }),
     }
 }
 
@@ -199,6 +222,45 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
+    }
+
+    #[test]
+    fn parses_every_accepted_worker_plane_spelling() {
+        for v in ["elided", "ELIDED", " Elided\n"] {
+            assert_eq!(parse_worker_plane(v), Some(WorkerPlane::Elided), "{v:?}");
+        }
+        for v in [
+            "event_driven",
+            "event-driven",
+            "eventdriven",
+            "Event_Driven ",
+        ] {
+            assert_eq!(
+                parse_worker_plane(v),
+                Some(WorkerPlane::EventDriven),
+                "{v:?}"
+            );
+        }
+        for v in ["oracle", "", "event driven", "elide"] {
+            assert_eq!(parse_worker_plane(v), None, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn unset_worker_plane_keeps_the_default() {
+        for d in [WorkerPlane::Elided, WorkerPlane::EventDriven] {
+            assert_eq!(plane_or_default(None, d), d);
+        }
+        assert_eq!(
+            plane_or_default(Some("event_driven"), WorkerPlane::Elided),
+            WorkerPlane::EventDriven
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted: elided, event_driven")]
+    fn malformed_worker_plane_panics() {
+        plane_or_default(Some("oracle"), WorkerPlane::Elided);
     }
 
     #[test]

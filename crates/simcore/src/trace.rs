@@ -1,9 +1,9 @@
 //! Versioned record/replay run artifacts — the `TRACE/1.0` contract.
 //!
 //! Every determinism guarantee in this workspace (the elided/event-driven
-//! oracles, the quiet-window parallel engine, the fault layer's empty-plan
-//! byte identity) used to be enforced by sha256 digests of figure stdout,
-//! which can only say *something* changed *somewhere*. This module turns a
+//! oracles, the fault layer's empty-plan byte identity) used to be
+//! enforced by sha256 digests of figure stdout, which can only say
+//! *something* changed *somewhere*. This module turns a
 //! run into a first-class, versioned artifact that a replay can diff
 //! against event by event, so a regression reports the exact first
 //! divergent `(time, seq)` event instead of a digest mismatch.
@@ -34,7 +34,7 @@
 //! computed at *every* granularity, so even a compact summary artifact can
 //! localize a divergence to one checkpoint block.
 //!
-//! All three engines execute the identical `(time, seq, event)` sequence,
+//! Both engines execute the identical `(time, seq, event)` sequence,
 //! so a recorded artifact is engine-independent: the engine field is
 //! provenance, not part of the comparison.
 //!
