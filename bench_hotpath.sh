@@ -3,16 +3,16 @@
 # for the representative sim_throughput configuration plus the paper-scale
 # 256-core (16x16) mesh — the latter under both control planes (Elided vs
 # EventDriven) so the manager-plane event-elision win is recorded
-# head-to-head — a 1024-core (32x32) mesh, and two rack-tier rows. Each
-# mesh's elided row asserts the same peak event-queue ledger as its
-# per-event worker-plane oracle before being recorded. Writes the result to
-# BENCH_hotpath.json. Run from the repository root:
+# head-to-head — a 1024-core (32x32) mesh, and two rack-tier rows. Writes
+# the result to BENCH_hotpath.json. Run from the repository root:
 #
 #   ./bench_hotpath.sh
 #
-# The JSON includes a "prior" block with the pre-streaming numbers measured
-# on the same configuration, so regressions are visible without digging
-# through git history.
+# The JSON includes a "prior" block with earlier numbers for the same
+# configurations (the 4x16 row before streaming arrivals, the rack row
+# before its routing rewrite, the 32x32 row before the elided worker plane
+# was removed), so regressions are visible without digging through git
+# history.
 set -euo pipefail
 cd "$(dirname "$0")"
 

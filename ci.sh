@@ -112,31 +112,6 @@ cargo run -q -p bench --release --bin replay -- ci/golden/rack_sweep_quick.trace
 cargo test -q -p simcore --release --lib trace::
 cargo test -q -p altocumulus --release --test prop_replay
 
-echo "==> worker-plane elision gates"
-# The root `cargo test -q` above only covers the root package, so the
-# differential proptests (Elided vs EventDriven oracle, fault-downgrade
-# identity) are gated explicitly; the d-FCFS scheduler carries its own
-# elision and differential tests in-crate.
-cargo test -q -p altocumulus --release --test prop_workerplane
-cargo test -q -p schedulers --release dfcfs
-# Engine smoke at the stdout level: the per-event oracle must reproduce the
-# golden fig10 byte stream the elided default just matched above. The run
-# is recorded too, and every run header must name the oracle engine, so the
-# gate fails if the override stops reaching the engine (the two sides would
-# then both be the elided default, and cmp alone would pass).
-WORKER_PLANE=event_driven cargo run -q -p bench --release --bin fig10_comparison -- --quick \
-  --record-out=target/fig10_wp_event_driven.trace.jsonl > target/fig10_wp_event_driven.txt
-cmp target/fig10_quick.txt target/fig10_wp_event_driven.txt
-runs=$(grep -c '^{"run":' target/fig10_wp_event_driven.trace.jsonl || true)
-oracle_runs=$(grep -c '^{"run":.*"engine":"serial_event_driven"' \
-  target/fig10_wp_event_driven.trace.jsonl || true)
-if [ "$runs" -eq 0 ] || [ "$runs" -ne "$oracle_runs" ]; then
-  echo "WORKER-PLANE ORACLE NOT ENGAGED: $oracle_runs of $runs fig10 runs recorded" \
-    "\"engine\":\"serial_event_driven\"" >&2
-  exit 1
-fi
-rm -f target/fig10_wp_event_driven.txt target/fig10_wp_event_driven.trace.jsonl
-
 echo "==> fault-injection smoke (determinism)"
 # A faulted sweep must be byte-identical across invocations *and* across
 # sweep-executor thread counts — faults are part of the deterministic

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmark for the compacted hot-state layout: per-event
-//! cost of the elided engine at the small 4×16 mesh vs the 1024-core 32×32
+//! cost of the default engine at the small 4×16 mesh vs the 1024-core 32×32
 //! mesh (64 groups × 16). The whole point of the SoA hot/cold split, the
 //! slab request arena and the stage-hint staging bound is that this cost is
 //! *flat* in mesh size — a tick touches the dense hot plane of the groups

@@ -7,7 +7,6 @@ use rpcstack::nic::Steering;
 use rpcstack::stack::StackModel;
 use simcore::faults::FaultPlan;
 use simcore::time::SimDuration;
-pub use simcore::timeline::WorkerPlane;
 
 /// How the NIC attaches to the CPU (paper §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,13 +154,6 @@ pub struct AcConfig {
     pub steering: Steering,
     /// Simulator execution strategy for the manager control plane.
     pub control_plane: ControlPlane,
-    /// Simulator execution strategy for the worker plane (request
-    /// lifecycle events). Like [`ControlPlane`], both modes are
-    /// byte-identical in every observable; `Elided` batches
-    /// delivery/completion events on analytic timelines. Runs with a
-    /// non-empty fault plan downgrade to `EventDriven` internally
-    /// regardless of this setting.
-    pub worker_plane: WorkerPlane,
     /// Injected faults. The default (empty) plan reproduces healthy runs
     /// byte-for-byte; see [`simcore::faults`].
     pub faults: FaultPlan,
@@ -196,7 +188,6 @@ impl AcConfig {
             tenancy: None,
             steering: Steering::rss(),
             control_plane: ControlPlane::Elided,
-            worker_plane: WorkerPlane::Elided,
             faults: FaultPlan::default(),
             resilience: Resilience::default(),
             seed: 0,

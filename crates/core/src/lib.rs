@@ -61,7 +61,7 @@ pub mod tenancy;
 pub use accounting::{
     classify_effectiveness, prediction_accuracy, EffectivenessBreakdown, PredictedSet,
 };
-pub use config::{AcConfig, Attachment, ControlPlane, WorkerPlane};
+pub use config::{AcConfig, Attachment, ControlPlane};
 pub use hw::interface::Interface;
 pub use rack::{
     RackConfig, RackResult, RackWorld, RoutePolicy, RoutingStats, ServerDeath, ServerSpec,

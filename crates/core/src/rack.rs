@@ -15,8 +15,7 @@
 //! - **Level 2 (intra-server):** each server is a full [`Altocumulus`]
 //!   world with its own group mesh and migration machinery (or a d-FCFS /
 //!   JBSQ baseline for head-to-head rack comparisons), driven through the
-//!   existing calendar-queue engine stack unchanged — `choose_engine`
-//!   downgrades per server exactly as in single-server runs.
+//!   existing calendar-queue engine unchanged, healthy or faulted.
 //!
 //! The ToR hop is modeled like the `hw` transfer paths ([`rpcstack::nic::
 //! Transfer`], [`crate::hw::fifo::BoundedFifo`]): a fixed switch latency

@@ -8,7 +8,7 @@
 //! with every baseline on identical traces.
 
 use crate::accounting::PredictedSet;
-use crate::config::{AcConfig, Attachment, ControlPlane, WorkerPlane};
+use crate::config::{AcConfig, Attachment, ControlPlane};
 use crate::hw::messages::{Descriptor, Message};
 use crate::runtime::patterns::{
     guard_allows, plan_migrations_into, plan_patched_into, plan_threshold_only_into,
@@ -26,14 +26,11 @@ use simcore::rng::{stream_rng, streams, BatchedRng, CountingRng};
 use simcore::slab::{Handle, Slab};
 use simcore::telemetry::{NullSink, Telemetry, TelemetrySink};
 use simcore::time::{SimDuration, SimTime};
-use simcore::timeline::worker_plane;
 use simcore::trace::{fnv1a64_fold, Recorder};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use workload::request::Completion;
 use workload::trace::Trace;
-
-mod wp;
 
 /// Counters describing the migration machinery's behaviour during a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -116,9 +113,9 @@ pub struct AcResult {
     pub summary: RunSummary,
     /// Fault-injection and recovery counters.
     pub faults: FaultStats,
-    /// Label of the engine that actually drove the run (after the fault-plan
-    /// downgrade): `"serial_elided"` or `"serial_event_driven"`. Provenance
-    /// only — both produce byte-identical observables.
+    /// Label of the engine that drove the run, recorded as run-artifact
+    /// provenance. Healthy and faulted runs share the one serial per-event
+    /// engine, so this is always `"serial_event_driven"`.
     pub engine: &'static str,
     /// Per-stream RNG draw accounting.
     pub rng: RngDraws,
@@ -183,28 +180,12 @@ impl Altocumulus {
     /// Like [`run_traced`](Self::run_traced), recording is non-perturbing:
     /// the sink only observes `(time, seq, event)` ranks the engine already
     /// computed, so the returned [`AcResult`] is byte-identical to
-    /// [`run_detailed`](Self::run_detailed) on the same trace. Both
-    /// engines record the same sequence — the artifact is engine-independent.
+    /// [`run_detailed`](Self::run_detailed) on the same trace.
     pub fn run_recorded(&mut self, trace: &Trace, rec: &mut Recorder) -> AcResult {
         self.run_with(trace, rec)
     }
 
-    /// The one [`Engine`] that drives the run. A non-empty fault plan forces
-    /// the per-event oracle: epoch bumps, straggler inflation, and resteers
-    /// landing mid-batch all perturb the elided worker plane's analytic
-    /// timelines. Otherwise the configured (or `WORKER_PLANE`-overridden)
-    /// worker plane decides. The variable is read on faulted runs too, so a
-    /// malformed value panics whatever the plan.
-    fn choose_engine(&self) -> Engine {
-        match worker_plane(self.cfg.worker_plane) {
-            _ if !self.cfg.faults.is_empty() => Engine::SerialEventDriven,
-            WorkerPlane::Elided => Engine::SerialElided,
-            WorkerPlane::EventDriven => Engine::SerialEventDriven,
-        }
-    }
-
     fn run_with<S: TelemetrySink>(&mut self, trace: &Trace, tel: &mut S) -> AcResult {
-        let engine = self.choose_engine();
         let cfg = &self.cfg;
         let nic = NicModel::default();
         let attach_transfer = match cfg.attachment {
@@ -403,10 +384,8 @@ impl Altocumulus {
             cfg,
             noc,
             dispatch_op: mem.remote_cache, // 70 cycles per manager dispatch op
-            intra_transfer: match cfg.attachment {
-                Attachment::Integrated => Transfer::coherent(),
-                Attachment::RssPcie => Transfer::coherent(),
-            },
+            // Manager-to-worker hops stay on chip under either attachment.
+            intra_transfer: Transfer::coherent(),
             groups,
             cold,
             msg_slab: Slab::new(),
@@ -456,12 +435,7 @@ impl Altocumulus {
                 queue.push(f.at, Ev::Fault(FaultEv::ManagerFail(f.group as u32)));
             }
         }
-        let summary = match engine {
-            Engine::SerialElided => wp::run_elided(&mut world, &mut queue, &mut source),
-            Engine::SerialEventDriven => {
-                run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX)
-            }
-        };
+        let summary = run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
         world.finalize_idle_accounting(summary.end_time);
         let fault_stats = world.faults.as_ref().map(|f| f.stats).unwrap_or_default();
         let fault_draws = world
@@ -474,7 +448,7 @@ impl Altocumulus {
             stats: world.stats,
             summary,
             faults: fault_stats,
-            engine: engine.label(),
+            engine: "serial_event_driven",
             rng: RngDraws {
                 nic: nic_draws.get(),
                 faults: fault_draws,
@@ -495,26 +469,6 @@ impl RpcSystem for Altocumulus {
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
         self.run_detailed(trace).system
-    }
-}
-
-/// The resolved engine of one run (see [`Altocumulus::choose_engine`]).
-/// Both variants produce byte-identical observables.
-#[derive(Clone, Copy)]
-enum Engine {
-    /// Serial loop, worker plane elided onto analytic per-class timelines.
-    SerialElided,
-    /// Serial loop, every event through the calendar queue (the oracle).
-    SerialEventDriven,
-}
-
-impl Engine {
-    /// Stable label for run artifacts ([`AcResult::engine`]).
-    fn label(self) -> &'static str {
-        match self {
-            Engine::SerialElided => "serial_elided",
-            Engine::SerialEventDriven => "serial_event_driven",
-        }
     }
 }
 
@@ -587,10 +541,8 @@ fn msg_digest(msg: &Message) -> u64 {
 
 /// The `(kind, group, payload)` descriptor of one executed event, as
 /// recorded into `TRACE/1.0` artifacts (see [`event_kind_names`] for the
-/// tag vocabulary). Engine-invariant by the byte-identity guarantee: slab
-/// handles allocate in identical order across engines, message payloads are
-/// digested by content, and every field the descriptor folds is part of the
-/// observable event sequence.
+/// tag vocabulary). Message payloads are digested by content, and every
+/// field the descriptor folds is part of the observable event sequence.
 fn describe_ev(ev: &Ev, msg_slab: &Slab<Message>) -> (u8, u32, u64) {
     match ev {
         Ev::Enqueue(g, idx) => (0, *g, *idx as u64),
@@ -1133,281 +1085,9 @@ fn send_msg_via(
     }
 }
 
-/// Where a quiet handler's externally-visible effects land.
-///
-/// Quiet events — the healthy intra-group request lifecycle (`Enqueue`,
-/// `Deliver`, `WorkerDone`, `MgrOpDone`) — mutate only their own group plus
-/// three global channels: follow-up event pushes, telemetry span points,
-/// and completion records. Routing those through this trait lets one
-/// handler body serve both engines: the per-event oracle ([`SerialSink`]
-/// pushes follow-ups onto the event queue) and the elided worker plane
-/// (`wp::TimelineSink` parks them on analytic timelines).
-trait QuietSink {
-    fn push(&mut self, at: SimTime, ev: Ev);
-    fn span(&mut self, track: u32, kind: u16, loc: u32, at: SimTime);
-    fn complete(&mut self, c: Completion);
-}
-
-/// The serial loop's [`QuietSink`]: effects go straight to the event queue,
-/// telemetry sink and result accumulator.
-struct SerialSink<'a, S: TelemetrySink> {
-    q: &'a mut EventQueue<Ev>,
-    tel: &'a mut S,
-    result: &'a mut SystemResult,
-    completed: &'a mut usize,
-}
-
-impl<S: TelemetrySink> QuietSink for SerialSink<'_, S> {
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        self.q.push(at, ev);
-    }
-    fn span(&mut self, track: u32, kind: u16, loc: u32, at: SimTime) {
-        self.tel.span_point(track, kind, loc, at);
-    }
-    fn complete(&mut self, c: Completion) {
-        self.result.record(c);
-        *self.completed += 1;
-    }
-}
-
-/// Read-only context a quiet handler needs, detached from [`AcWorld`] so a
-/// handler can hold it alongside `&mut` borrows of one group and of its
-/// sink's targets (other `AcWorld` fields). The fault-layer inputs are
-/// per-group slices; the empty slices / `false` flags are the healthy fast
-/// path, and the only one the elided engine ever sees (faulted runs take
-/// the per-event oracle).
-struct QuietEnv<'a> {
-    trace: &'a Trace,
-    cfg: &'a AcConfig,
-    intra_transfer: &'a Transfer,
-    dispatch_op: SimDuration,
-    /// Liveness epochs of this group's workers; empty (all zero) on healthy
-    /// runs. (Dead workers need no flag here: their `occ` slot sits at
-    /// `u32::MAX`, which excludes them from dispatch.)
-    epochs: &'a [u32],
-    /// True when this group's manager has failed.
-    mgr_dead: bool,
-    /// True when straggler inflation must be consulted (non-empty plan).
-    inflate: bool,
-}
-
-impl QuietEnv<'_> {
-    /// Total on-core cost for trace request `idx`.
-    fn total_cost(&self, idx: usize) -> SimDuration {
-        let req = &self.trace.requests()[idx];
-        self.cfg.stack.rx(req.size_bytes) + req.service + self.cfg.stack.tx(64)
-    }
-
-    /// Core id of worker `w` in group `g` (the id completions report).
-    fn worker_core(&self, g: usize, w: usize) -> u32 {
-        (g * self.cfg.group_size + 1 + w) as u32
-    }
-
-    fn epoch_of(&self, w: usize) -> u32 {
-        self.epochs.get(w).copied().unwrap_or(0)
-    }
-
-    /// Healthy core of [`Ev::Enqueue`]: the request lands in its group's
-    /// NetRX queue (takeover redirection and dormancy wake, both serial-only
-    /// concerns, happen in the caller).
-    fn enqueue(
-        &self,
-        g: usize,
-        idx: usize,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let arrival = self.trace.requests()[idx].arrival;
-        sink.span(idx as u32, span::ARRIVAL, g as u32, arrival);
-        sink.span(idx as u32, span::NETRX_ENQUEUE, g as u32, now);
-        let qr = QueuedRequest::new(idx, self.total_cost(idx), now);
-        grp.push_netrx(qr);
-        grp.arrivals_since_tick += 1;
-        self.try_dispatch(g, now, grp, sink);
-    }
-
-    /// Intra-group dispatch: hardware (ACint) pushes immediately; ACrss
-    /// serializes 70-cycle manager operations carrying up to
-    /// `dispatch_batch` descriptors.
-    fn try_dispatch(&self, g: usize, now: SimTime, grp: &mut Group, sink: &mut impl QuietSink) {
-        if self.mgr_dead {
-            // Nobody left to pop NetRX; the takeover heir adopts the queue.
-            return;
-        }
-        match self.cfg.attachment {
-            Attachment::Integrated => loop {
-                if grp.netrx.is_empty() {
-                    return;
-                }
-                let Some(w) = grp.free_worker(self.cfg.local_bound as u32) else {
-                    return;
-                };
-                let qr = grp.netrx.pop_front().expect("checked non-empty");
-                grp.occ[w] += 1;
-                grp.busy += 1;
-                let core = self.worker_core(g, w);
-                sink.span(qr.idx as u32, span::DISPATCH, core, now);
-                let req = &self.trace.requests()[qr.idx];
-                let xfer = self.intra_transfer.latency(req.size_bytes);
-                let h = grp.slab.insert(qr);
-                sink.push(now + xfer, Ev::Deliver(g as u32, w as u32, h));
-            },
-            Attachment::RssPcie => {
-                if grp.netrx.is_empty() {
-                    return;
-                }
-                if grp.mgr_busy_until > now {
-                    if !grp.dispatch_pending {
-                        grp.dispatch_pending = true;
-                        let at = grp.mgr_busy_until;
-                        sink.push(at, Ev::MgrOpDone(g as u32));
-                    }
-                    return;
-                }
-                // One serialized op moves up to dispatch_batch descriptors.
-                let mut moved = 0;
-                let done_at = now + self.dispatch_op;
-                while moved < self.cfg.dispatch_batch {
-                    if grp.netrx.is_empty() {
-                        break;
-                    }
-                    let Some(w) = grp.free_worker(self.cfg.local_bound as u32) else {
-                        break;
-                    };
-                    let qr = grp.netrx.pop_front().expect("checked non-empty");
-                    grp.occ[w] += 1;
-                    grp.busy += 1;
-                    let core = self.worker_core(g, w);
-                    sink.span(qr.idx as u32, span::DISPATCH, core, now);
-                    let h = grp.slab.insert(qr);
-                    sink.push(done_at, Ev::Deliver(g as u32, w as u32, h));
-                    moved += 1;
-                }
-                if moved > 0 {
-                    grp.mgr_busy_until = done_at;
-                    grp.dispatch_pending = true;
-                    sink.push(done_at, Ev::MgrOpDone(g as u32));
-                }
-            }
-        }
-    }
-
-    /// Healthy core of [`Ev::Deliver`] (the dead-worker bounce, a
-    /// cross-group concern, happens in the caller). The handle resolves in
-    /// the group's request arena; occupancy is untouched — the request
-    /// moves from in-transit to running/waiting within the same worker.
-    fn deliver(
-        &self,
-        g: usize,
-        w: usize,
-        h: Handle,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let qr = grp.slab.take(h);
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::WORKER_ARRIVE, core, now);
-        if grp.running[w].is_none() && grp.waiting[w].is_empty() {
-            self.start_worker(g, w, qr, now, grp, sink);
-        } else {
-            grp.waiting[w].push_back(qr);
-        }
-    }
-
-    fn start_worker(
-        &self,
-        g: usize,
-        w: usize,
-        qr: QueuedRequest,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        debug_assert!(grp.running[w].is_none());
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::SERVICE_START, core, now);
-        // Straggler intervals inflate the wall time of service *started*
-        // inside them. `inflate` returns the input bit-for-bit when no
-        // straggler covers this core/instant, and the whole branch is
-        // absent on healthy runs.
-        let wall = if self.inflate {
-            self.cfg.faults.inflate(core as usize, now, qr.remaining)
-        } else {
-            qr.remaining
-        };
-        grp.running[w] = Some(qr);
-        sink.push(
-            now + wall,
-            Ev::WorkerDone(g as u32, w as u32, self.epoch_of(w)),
-        );
-    }
-
-    /// Healthy core of [`Ev::WorkerDone`] (the stale-epoch check happens in
-    /// the caller).
-    fn worker_done(
-        &self,
-        g: usize,
-        w: usize,
-        now: SimTime,
-        grp: &mut Group,
-        sink: &mut impl QuietSink,
-    ) {
-        let qr = grp.running[w].take().expect("done on idle worker");
-        grp.occ[w] -= 1;
-        grp.busy -= 1;
-        let core = self.worker_core(g, w);
-        sink.span(qr.idx as u32, span::COMPLETE, core, now);
-        let req = &self.trace.requests()[qr.idx];
-        sink.complete(Completion {
-            id: req.id,
-            arrival: req.arrival,
-            finish: now,
-            core: core as usize,
-            migrated: qr.migrated,
-        });
-        if let Some(next) = grp.waiting[w].pop_front() {
-            self.start_worker(g, w, next, now, grp, sink);
-        }
-        self.try_dispatch(g, now, grp, sink);
-    }
-
-    fn mgr_op_done(&self, g: usize, now: SimTime, grp: &mut Group, sink: &mut impl QuietSink) {
-        grp.dispatch_pending = false;
-        self.try_dispatch(g, now, grp, sink);
-    }
-}
-
-/// Splits an `AcWorld` into the disjoint borrows a quiet handler needs: a
-/// [`QuietEnv`] for group `$g`, the group itself, and a [`SerialSink`] over
-/// `$q` plus the world's telemetry/result fields. A macro rather than a
-/// method so the field borrows stay visibly disjoint to the borrow checker.
-macro_rules! quiet_parts {
-    ($self:expr, $g:expr, $q:expr) => {{
-        let (epochs, mgr_dead, inflate): (&[u32], bool, bool) = match &$self.faults {
-            Some(f) => (&f.epoch[$g], f.mgr_dead[$g], true),
-            None => (&[], false, false),
-        };
-        (
-            QuietEnv {
-                trace: $self.trace,
-                cfg: $self.cfg,
-                intra_transfer: &$self.intra_transfer,
-                dispatch_op: $self.dispatch_op,
-                epochs,
-                mgr_dead,
-                inflate,
-            },
-            &mut $self.groups[$g],
-            SerialSink {
-                q: $q,
-                tel: &mut *$self.tel,
-                result: &mut $self.result,
-                completed: &mut $self.completed,
-            },
-        )
-    }};
+/// Core id of worker `w` in group `g` (the id completions report).
+fn worker_core(cfg: &AcConfig, g: usize, w: usize) -> u32 {
+    (g * cfg.group_size + 1 + w) as u32
 }
 
 impl<S: TelemetrySink> AcWorld<'_, S> {
@@ -1766,12 +1446,159 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         }
     }
 
-    /// Intra-group dispatch (see [`QuietEnv::try_dispatch`] for the body);
-    /// this wrapper serves the serial-only call sites (fault recovery,
-    /// message handling).
+    /// [`Ev::Enqueue`] once takeover redirection and the dormancy wake are
+    /// done: the request lands in group `g`'s NetRX queue.
+    fn enqueue(&mut self, g: usize, idx: usize, now: SimTime, q: &mut EventQueue<Ev>) {
+        let arrival = self.trace.requests()[idx].arrival;
+        self.tel
+            .span_point(idx as u32, span::ARRIVAL, g as u32, arrival);
+        self.tel
+            .span_point(idx as u32, span::NETRX_ENQUEUE, g as u32, now);
+        let qr = QueuedRequest::new(idx, self.total_cost(idx), now);
+        let grp = &mut self.groups[g];
+        grp.push_netrx(qr);
+        grp.arrivals_since_tick += 1;
+        self.try_dispatch(g, now, q);
+    }
+
+    /// Intra-group dispatch: hardware (ACint) pushes immediately; ACrss
+    /// serializes 70-cycle manager operations carrying up to
+    /// `dispatch_batch` descriptors.
     fn try_dispatch(&mut self, g: usize, now: SimTime, q: &mut EventQueue<Ev>) {
-        let (env, grp, mut sink) = quiet_parts!(self, g, q);
-        env.try_dispatch(g, now, grp, &mut sink);
+        if self.mgr_is_dead(g) {
+            // Nobody left to pop NetRX; the takeover heir adopts the queue.
+            return;
+        }
+        let cfg = self.cfg;
+        let bound = cfg.local_bound as u32;
+        let grp = &mut self.groups[g];
+        match cfg.attachment {
+            Attachment::Integrated => loop {
+                if grp.netrx.is_empty() {
+                    return;
+                }
+                let Some(w) = grp.free_worker(bound) else {
+                    return;
+                };
+                let qr = grp.netrx.pop_front().expect("checked non-empty");
+                grp.occ[w] += 1;
+                grp.busy += 1;
+                let core = worker_core(cfg, g, w);
+                self.tel
+                    .span_point(qr.idx as u32, span::DISPATCH, core, now);
+                let req = &self.trace.requests()[qr.idx];
+                let xfer = self.intra_transfer.latency(req.size_bytes);
+                let h = grp.slab.insert(qr);
+                q.push(now + xfer, Ev::Deliver(g as u32, w as u32, h));
+            },
+            Attachment::RssPcie => {
+                if grp.netrx.is_empty() {
+                    return;
+                }
+                if grp.mgr_busy_until > now {
+                    if !grp.dispatch_pending {
+                        grp.dispatch_pending = true;
+                        q.push(grp.mgr_busy_until, Ev::MgrOpDone(g as u32));
+                    }
+                    return;
+                }
+                // One serialized op moves up to dispatch_batch descriptors.
+                let mut moved = 0;
+                let done_at = now + self.dispatch_op;
+                while moved < cfg.dispatch_batch {
+                    if grp.netrx.is_empty() {
+                        break;
+                    }
+                    let Some(w) = grp.free_worker(bound) else {
+                        break;
+                    };
+                    let qr = grp.netrx.pop_front().expect("checked non-empty");
+                    grp.occ[w] += 1;
+                    grp.busy += 1;
+                    let core = worker_core(cfg, g, w);
+                    self.tel
+                        .span_point(qr.idx as u32, span::DISPATCH, core, now);
+                    let h = grp.slab.insert(qr);
+                    q.push(done_at, Ev::Deliver(g as u32, w as u32, h));
+                    moved += 1;
+                }
+                if moved > 0 {
+                    grp.mgr_busy_until = done_at;
+                    grp.dispatch_pending = true;
+                    q.push(done_at, Ev::MgrOpDone(g as u32));
+                }
+            }
+        }
+    }
+
+    /// [`Ev::Deliver`] at a live worker (the dead-worker bounce happens in
+    /// the caller). The handle resolves in the group's request arena;
+    /// occupancy is untouched — the request moves from in-transit to
+    /// running/waiting within the same worker.
+    fn deliver(&mut self, g: usize, w: usize, h: Handle, now: SimTime, q: &mut EventQueue<Ev>) {
+        let qr = self.groups[g].slab.take(h);
+        let core = worker_core(self.cfg, g, w);
+        self.tel
+            .span_point(qr.idx as u32, span::WORKER_ARRIVE, core, now);
+        let grp = &mut self.groups[g];
+        if grp.running[w].is_none() && grp.waiting[w].is_empty() {
+            self.start_worker(g, w, qr, now, q);
+        } else {
+            grp.waiting[w].push_back(qr);
+        }
+    }
+
+    fn start_worker(
+        &mut self,
+        g: usize,
+        w: usize,
+        qr: QueuedRequest,
+        now: SimTime,
+        q: &mut EventQueue<Ev>,
+    ) {
+        let core = worker_core(self.cfg, g, w);
+        self.tel
+            .span_point(qr.idx as u32, span::SERVICE_START, core, now);
+        // Straggler intervals inflate the wall time of service *started*
+        // inside them. `inflate` returns the input bit-for-bit when no
+        // straggler covers this core/instant, and the whole branch is
+        // absent on healthy runs.
+        let (wall, epoch) = match &self.faults {
+            Some(f) => (
+                self.cfg.faults.inflate(core as usize, now, qr.remaining),
+                f.epoch[g][w],
+            ),
+            None => (qr.remaining, 0),
+        };
+        let running = &mut self.groups[g].running[w];
+        debug_assert!(running.is_none());
+        *running = Some(qr);
+        q.push(now + wall, Ev::WorkerDone(g as u32, w as u32, epoch));
+    }
+
+    /// [`Ev::WorkerDone`] of a live epoch (the stale-epoch check happens in
+    /// the caller).
+    fn worker_done(&mut self, g: usize, w: usize, now: SimTime, q: &mut EventQueue<Ev>) {
+        let grp = &mut self.groups[g];
+        let qr = grp.running[w].take().expect("done on idle worker");
+        grp.occ[w] -= 1;
+        grp.busy -= 1;
+        let core = worker_core(self.cfg, g, w);
+        self.tel
+            .span_point(qr.idx as u32, span::COMPLETE, core, now);
+        let req = &self.trace.requests()[qr.idx];
+        self.result.record(Completion {
+            id: req.id,
+            arrival: req.arrival,
+            finish: now,
+            core: core as usize,
+            migrated: qr.migrated,
+        });
+        self.completed += 1;
+        if let Some(next) = self.groups[g].waiting[w].pop_front() {
+            self.start_worker(g, w, next, now, q);
+        }
+        self.try_dispatch(g, now, q);
     }
 
     /// Returns a recovered request to the NetRX queue currently serving
@@ -2363,7 +2190,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
     }
 
     /// Applies a protocol message's effects and dispatches any NetRX work
-    /// it unblocked.
+    /// it unblocked (MIGRATE landings, NACK returns).
     fn handle_msg(
         &mut self,
         dst: usize,
@@ -2372,31 +2199,12 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         now: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        if let Some(g) = self.handle_msg_inner(dst, seq, msg, now, q) {
-            self.try_dispatch(g, now, q);
-        }
-    }
-
-    /// [`handle_msg`](Self::handle_msg) minus the trailing dispatch: returns
-    /// the group whose NetRX gained work (MIGRATE landings, NACK returns) so
-    /// the caller can route the dispatch through its own [`QuietSink`] — the
-    /// serial oracle pushes `Deliver`s onto the event queue, the elided
-    /// worker plane onto its analytic timeline. The seq reservation order is
-    /// unchanged: the dispatch always ran last in the original body.
-    fn handle_msg_inner(
-        &mut self,
-        dst: usize,
-        seq: u64,
-        msg: Message,
-        now: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) -> Option<usize> {
         // A dead manager tile receives nothing: the message is lost at the
         // wire. Senders recover via the staged-migration timeout (MIGRATE)
         // or never notice (UPDATE/ACK — an ACK to a dead source is moot,
         // the source's queues were already drained by takeover).
         if self.mgr_is_dead(dst) {
-            return None;
+            return;
         }
         match msg {
             Message::Update { src, queue_len } => {
@@ -2404,7 +2212,6 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 // events, and dormancy exists only in Elided mode.
                 debug_assert!(!self.cold[dst].dormant, "update at a dormant group");
                 self.cold[dst].q_view[src] = queue_len;
-                None
             }
             Message::Migrate {
                 src,
@@ -2422,7 +2229,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 if token != 0 {
                     if let Some(fs) = &self.faults {
                         if fs.pending[token as usize - 1].state == PendingState::TimedOut {
-                            return None;
+                            return;
                         }
                     }
                 }
@@ -2441,7 +2248,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     };
                     let lat = self.noc.latency(dst_tile, src_tile, nack.wire_bytes());
                     self.send_msg(q, now + lat, src, nack);
-                    return None;
+                    return;
                 }
                 // The exchange is now settled at the destination: the
                 // descriptors land here no matter what happens to the ACK,
@@ -2475,7 +2282,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 };
                 let lat = self.noc.latency(dst_tile, src_tile, ack.wire_bytes());
                 self.send_msg(q, now + lat, src, ack);
-                Some(dst)
+                self.try_dispatch(dst, now, q);
             }
             Message::Ack { token, .. } => {
                 // The sender keeps send_inflight > 0 until this arrives, so
@@ -2487,14 +2294,13 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                         if p.state == PendingState::TimedOut {
                             // Timeout already reclaimed the FIFO slot and
                             // resteered; this stale ACK must change nothing.
-                            return None;
+                            return;
                         }
                         p.state = PendingState::Resolved;
                         p.descriptors.clear();
                     }
                 }
                 self.cold[dst].send_inflight = self.cold[dst].send_inflight.saturating_sub(1);
-                None
             }
             Message::Nack {
                 src: nack_src,
@@ -2506,7 +2312,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     if let Some(fs) = &mut self.faults {
                         let p = &mut fs.pending[token as usize - 1];
                         if p.state == PendingState::TimedOut {
-                            return None;
+                            return;
                         }
                         p.state = PendingState::Resolved;
                         p.descriptors.clear();
@@ -2528,7 +2334,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     let qr = QueuedRequest::new(d.trace_idx, self.total_cost(d.trace_idx), now);
                     self.groups[dst].push_netrx(qr);
                 }
-                Some(dst)
+                self.try_dispatch(dst, now, q);
             }
         }
     }
@@ -2566,8 +2372,7 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                 // Arrivals wake a group out of idle fast-forward; the
                 // skipped ticks are replayed before the request lands.
                 self.wake_group(g, now, None, q);
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.enqueue(g, idx, now, grp, &mut sink);
+                self.enqueue(g, idx, now, q);
             }
             Ev::Deliver(g, w, h) => {
                 let (g, w) = (g as usize, w as usize);
@@ -2590,8 +2395,7 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                     self.try_dispatch(tgt, now, q);
                     return;
                 }
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.deliver(g, w, h, now, grp, &mut sink);
+                self.deliver(g, w, h, now, q);
             }
             Ev::WorkerDone(g, w, epoch) => {
                 let (g, w) = (g as usize, w as usize);
@@ -2601,13 +2405,12 @@ impl<S: TelemetrySink> World for AcWorld<'_, S> {
                     return;
                 }
                 debug_assert!(!self.cold[g].dormant, "completion at a dormant group");
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.worker_done(g, w, now, grp, &mut sink);
+                self.worker_done(g, w, now, q);
             }
             Ev::MgrOpDone(g) => {
                 let g = g as usize;
-                let (env, grp, mut sink) = quiet_parts!(self, g, q);
-                env.mgr_op_done(g, now, grp, &mut sink);
+                self.groups[g].dispatch_pending = false;
+                self.try_dispatch(g, now, q);
             }
             Ev::Tick(g) => self.runtime_tick(g as usize, now, q),
             Ev::Msg { dst, seq, msg } => {
@@ -3052,8 +2855,7 @@ mod tests {
     #[test]
     fn streaming_keeps_event_queue_small() {
         // Tentpole acceptance: peak event-queue population is O(in-flight),
-        // not O(trace) — the peak is a *virtual-ledger* value, identical
-        // across both worker planes.
+        // not O(trace).
         let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
         let t = trace(dist, 0.6, 64, 20_000, 256);
         let mut ac = Altocumulus::new(AcConfig::ac_int(4, 16, dist.mean()));
@@ -3065,21 +2867,9 @@ mod tests {
             r.summary.peak_queue,
             t.len()
         );
-        // The default (elided) worker plane keeps arrivals and the manager
-        // plane as main-loop events but batches the rest; the per-event
-        // oracle pays a Deliver and a WorkerDone per request on top.
-        assert!(r.summary.events > 20_000, "events: {}", r.summary.events);
-        let mut ev_cfg = AcConfig::ac_int(4, 16, dist.mean());
-        ev_cfg.worker_plane = WorkerPlane::EventDriven;
-        let ev = Altocumulus::new(ev_cfg).run_detailed(&t);
-        assert!(ev.summary.events > 40_000, "events: {}", ev.summary.events);
-        assert!(
-            r.summary.events + 40_000 <= ev.summary.events,
-            "worker elision should remove two events per request: {} vs {}",
-            r.summary.events,
-            ev.summary.events
-        );
-        assert_eq!(r.summary.peak_queue, ev.summary.peak_queue);
+        // Every request costs at least an Enqueue, a Deliver and a
+        // WorkerDone event.
+        assert!(r.summary.events > 60_000, "events: {}", r.summary.events);
     }
 
     #[test]
@@ -3132,33 +2922,6 @@ mod tests {
         assert!(
             el.summary.events * 2 < ev.summary.events,
             "idle elision should remove most events: {} vs {}",
-            el.summary.events,
-            ev.summary.events
-        );
-    }
-
-    #[test]
-    fn worker_plane_matches_event_driven_oracle() {
-        // Moderate load with migrations in play: the analytic timelines
-        // carry the whole request lifecycle and must be indistinguishable
-        // from the per-event oracle in every observable — including the
-        // virtual-ledger peak — while processing strictly fewer events.
-        let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-        let t = trace(dist, 0.6, 64, 8_000, 5);
-        let el = Altocumulus::new(AcConfig::ac_int(4, 16, dist.mean())).run_detailed(&t);
-        let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
-        cfg.worker_plane = WorkerPlane::EventDriven;
-        let ev = Altocumulus::new(cfg).run_detailed(&t);
-        assert_eq!(el.system.completions, ev.system.completions);
-        assert_eq!(el.system.end_time, ev.system.end_time);
-        assert_eq!(el.stats, ev.stats);
-        assert!(el.stats.migrated_requests > 0, "load should migrate");
-        assert_eq!(el.summary.peak_queue, ev.summary.peak_queue);
-        assert_eq!(el.summary.end_time, ev.summary.end_time);
-        assert_eq!(el.summary.stopped_early, ev.summary.stopped_early);
-        assert!(
-            el.summary.events < ev.summary.events,
-            "worker elision should cut events: {} vs {}",
             el.summary.events,
             ev.summary.events
         );

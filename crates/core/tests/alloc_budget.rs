@@ -15,10 +15,9 @@
 //! arrivals (the fast-forward accounting and per-instant tick-seq block
 //! reservation must not allocate either).
 //!
-//! A batched-worker-plane regime pins the `WorkerPlane::Elided` engine
-//! under heavy-tailed backlog (multi-entry timeline lanes, stale-key
-//! churn): steady-state batching must stay allocation-free, with
-//! re-planning confined to capacity retained from construction.
+//! A backlog regime pins heavy-tailed service at `local_bound = 2`, where
+//! worker queues hold real backlog: steady state must stay allocation-free
+//! there too.
 //!
 //! A further pair of regimes pin the telemetry layer: disabled telemetry
 //! (the default [`Altocumulus::run_detailed`] path) must stay at the same
@@ -36,7 +35,7 @@
 //! lazily mid-test (its channel-receive context), polluting the deltas — a
 //! plain `fn main` keeps the process single-threaded.
 
-use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, Telemetry, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, RackConfig, RackWorld, Telemetry};
 use simcore::alloc::CountingAlloc;
 use simcore::time::SimDuration;
 use simcore::trace::{Granularity, Recorder};
@@ -66,16 +65,13 @@ fn run(trace: &Trace) -> (u64, u64) {
     (ALLOC.allocations() - before, r.summary.events)
 }
 
-/// Bimodal service at a deeper `local_bound`: worker lanes hold real
-/// backlog, so the batched worker plane's timeline exercises multi-entry
-/// lane inserts, head-key supersession and merge pops — all of which must
-/// run out of the capacity pre-sized at construction. `worker_plane` is
-/// pinned explicitly so an environment override can't silently swap the
-/// engine under the budget.
-fn run_elided_backlog(trace: &Trace) -> (u64, u64) {
+/// Bimodal service at a deeper `local_bound`: worker queues hold real
+/// backlog, so deliveries land behind running requests and completions
+/// start the next waiting one — all of which must run out of the capacity
+/// retained after warmup.
+fn run_backlog(trace: &Trace) -> (u64, u64) {
     let mean = SimDuration::from_ns(850);
     let mut cfg = AcConfig::ac_int(4, 16, mean);
-    cfg.worker_plane = WorkerPlane::Elided;
     cfg.local_bound = 2;
     let mut ac = Altocumulus::new(cfg);
     let before = ALLOC.allocations();
@@ -84,18 +80,15 @@ fn run_elided_backlog(trace: &Trace) -> (u64, u64) {
     (ALLOC.allocations() - before, r.summary.events)
 }
 
-/// Per-event worker plane: every delivery and completion flows through the
-/// main calendar queue as a small Copy event holding a slab [`Handle`]
-/// (`simcore::slab`), so this regime exercises the request arena's
-/// insert/take cycle on every request. The slab grows to the high-water
-/// mark of concurrently in-flight payloads during warmup and must then
-/// recycle slots through its free list — steady state stays at the same
-/// zero per-event budget as the elided regimes.
+/// Every delivery and completion flows through the main calendar queue as
+/// a small Copy event holding a slab [`Handle`] (`simcore::slab`), so this
+/// regime exercises the request arena's insert/take cycle on every request.
+/// The slab grows to the high-water mark of concurrently in-flight payloads
+/// during warmup and must then recycle slots through its free list — steady
+/// state stays at the same zero per-event budget as the other regimes.
 fn run_slab_arena(trace: &Trace) -> (u64, u64) {
     let mean = SimDuration::from_ns(850);
-    let mut cfg = AcConfig::ac_int(4, 16, mean);
-    cfg.worker_plane = WorkerPlane::EventDriven;
-    let mut ac = Altocumulus::new(cfg);
+    let mut ac = Altocumulus::new(AcConfig::ac_int(4, 16, mean));
     let before = ALLOC.allocations();
     let r = ac.run_detailed(trace);
     assert_eq!(r.system.completions.len(), trace.len());
@@ -146,9 +139,8 @@ fn run_recorded_spans(trace: &Trace) -> (u64, u64) {
     let mut rec = Recorder::with_capacity(Granularity::Spans, 0, 1024).with_perturb(None);
     let r = ac.run_recorded(trace, &mut rec);
     assert_eq!(r.system.completions.len(), trace.len());
-    // The elided engine's recorder sees every timeline event, a superset
-    // of the main-loop count the summary reports.
-    assert!(rec.event_count() >= r.summary.events);
+    // The recorder observes exactly the events the loop dispatched.
+    assert_eq!(rec.event_count(), r.summary.events);
     (ALLOC.allocations() - before, r.summary.events)
 }
 
@@ -204,20 +196,17 @@ fn main() {
     assert_pinned("mailbox", &trace(20_000, 0.6), &trace(60_000, 0.6));
     // Near-idle load: dormancy, wake and idle-tick fast-forward dominate.
     assert_pinned("dormancy", &trace(5_000, 0.05), &trace(15_000, 0.05));
-    // Batched worker plane under backlog: heavy-tailed service with
-    // local_bound = 2 keeps multiple descriptors pending per lane, so
-    // steady-state timeline traffic (lane inserts, stale-key churn, merge
-    // pops, per-event seq reservation) must stay allocation-free. The
-    // elided engine's events count is main-loop events only, which makes
-    // this delta-per-event pin *stricter* than the oracle's, not looser.
+    // Backlog: heavy-tailed service with local_bound = 2 keeps multiple
+    // descriptors pending per worker, so steady-state waiting-queue churn
+    // must stay allocation-free.
     assert_pinned_by(
-        "batched-worker-plane",
+        "backlog",
         &bimodal_trace(20_000, 0.6),
         &bimodal_trace(60_000, 0.6),
         0.01,
-        run_elided_backlog,
+        run_backlog,
     );
-    // Slab request arena under the per-event oracle: every request's
+    // Slab request arena: every request's
     // metadata is parked in the group arena and its Deliver/WorkerDone
     // events travel the main queue as Copy handles. After warmup the
     // arena's free list must absorb all churn — growth only to the

@@ -79,6 +79,23 @@ fn inert_nonempty_plan_is_byte_identical_to_empty() {
     assert_eq!(healthy.rng.faults, 0);
 }
 
+/// A faulted run goes through the same engine as a healthy one: with an
+/// inert plan, not even the event count or the engine label may move.
+#[test]
+fn inert_plan_runs_the_healthy_engine() {
+    let t = trace(0.7, 20_000, 5);
+    let healthy = run(cfg(), &t);
+    let mut c = cfg();
+    c.faults = inert_plan();
+    let inert = run(c, &t);
+    assert_eq!(healthy.system.completions, inert.system.completions);
+    assert_eq!(healthy.system.end_time, inert.system.end_time);
+    assert_eq!(healthy.stats, inert.stats);
+    assert_eq!(healthy.summary.peak_queue, inert.summary.peak_queue);
+    assert_eq!(healthy.summary.events, inert.summary.events);
+    assert_eq!(healthy.engine, inert.engine);
+}
+
 #[test]
 fn straggler_inflates_tail_but_loses_nothing() {
     let t = trace(0.7, 20_000, 64);

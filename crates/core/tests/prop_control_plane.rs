@@ -15,11 +15,18 @@
 //! ordering provably identical; the paper-default periods (200/100 ns)
 //! are in the safe set too, which is what keeps the figure outputs
 //! byte-identical.
+//!
+//! The strategy also leans on the hot-state layout (SoA hot/cold split,
+//! slab request arena, NetRX `stage_hint` tail-run bound): few connections
+//! concentrate arrivals through RSS imbalance, so migration-heavy meshes
+//! build long migrated tails, and the `fixed_service` dimension packs the
+//! schedule with exact time ties.
 
 use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
 use proptest::prelude::*;
+use simcore::telemetry::Telemetry;
 use simcore::time::SimDuration;
-use workload::{PoissonProcess, ServiceDistribution, TraceBuilder};
+use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
 
 #[derive(Debug, Clone)]
 struct PlaneCase {
@@ -35,11 +42,12 @@ struct PlaneCase {
     load: f64,
     connections: u32,
     seed: u64,
+    fixed_service: bool,
 }
 
 fn case_strategy() -> impl Strategy<Value = PlaneCase> {
     (
-        1usize..5, // groups
+        1usize..8, // groups
         2usize..9, // group_size
         prop_oneof![Just(Attachment::Integrated), Just(Attachment::RssPcie)],
         prop_oneof![Just(Interface::Isa), Just(Interface::Msr)],
@@ -49,10 +57,17 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
         1usize..9,  // concurrency (clamped to bulk below)
         1usize..3,  // local bound
         any::<bool>(),
-        // Loads from near-idle (deep idle-tick fast-forward) to busy.
-        0.02f64..0.9,
-        1u32..32, // connections
-        0u64..1000,
+        // Loads from near-idle (deep idle-tick fast-forward) to overload,
+        // where the planner's overloaded branch and the stage-hint's long
+        // migrated tails appear.
+        0.02f64..0.95,
+        (
+            // Connections: half the cases use a handful, so RSS imbalance
+            // maximizes migration traffic.
+            prop_oneof![1u32..4, 1u32..32],
+            0u64..1000,
+            any::<bool>(), // fixed service
+        ),
     )
         .prop_map(
             |(
@@ -66,8 +81,7 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
                 lb,
                 predict_only,
                 load,
-                conns,
-                seed,
+                (conns, seed, fixed_service),
             )| {
                 PlaneCase {
                     groups,
@@ -82,6 +96,7 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
                     load,
                     connections: conns,
                     seed,
+                    fixed_service,
                 }
             },
         )
@@ -103,6 +118,25 @@ fn build(case: &PlaneCase, mean: SimDuration, plane: ControlPlane) -> Altocumulu
     Altocumulus::new(cfg)
 }
 
+fn dist_for(case: &PlaneCase) -> ServiceDistribution {
+    let mean = SimDuration::from_ns(850);
+    if case.fixed_service {
+        ServiceDistribution::Fixed(mean)
+    } else {
+        ServiceDistribution::Exponential { mean }
+    }
+}
+
+fn trace_for(case: &PlaneCase, dist: &ServiceDistribution, requests: usize) -> Trace {
+    let cores = case.groups * case.group_size;
+    let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
+    TraceBuilder::new(PoissonProcess::new(rate), *dist)
+        .requests(requests)
+        .connections(case.connections)
+        .seed(case.seed)
+        .build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -110,16 +144,8 @@ proptest! {
     /// configurations and loads, bit-identical observable output.
     #[test]
     fn elided_control_plane_is_observationally_identical(case in case_strategy()) {
-        let dist = ServiceDistribution::Exponential {
-            mean: SimDuration::from_ns(850),
-        };
-        let cores = case.groups * case.group_size;
-        let rate = PoissonProcess::rate_for_load(case.load, cores, dist.mean());
-        let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
-            .requests(1200)
-            .connections(case.connections)
-            .seed(case.seed)
-            .build();
+        let dist = dist_for(&case);
+        let trace = trace_for(&case, &dist, 1200);
         let el = build(&case, dist.mean(), ControlPlane::Elided).run_detailed(&trace);
         let ev = build(&case, dist.mean(), ControlPlane::EventDriven).run_detailed(&trace);
 
@@ -154,4 +180,73 @@ proptest! {
             );
         }
     }
+
+    /// Traced runs: the per-request span chains are part of the byte
+    /// contract too, and recording must not perturb the run it observes.
+    /// Probes sample at ticks, and a dormant group skips its idle ones, so
+    /// every elided probe sample must also be an event-driven one. Rings
+    /// keep only their newest samples and the event-driven run ticks on to
+    /// the end, so only the window its rings still hold is compared.
+    #[test]
+    fn telemetry_is_identical_across_control_planes(case in case_strategy()) {
+        let dist = dist_for(&case);
+        let trace = trace_for(&case, &dist, 800);
+        let mut tel_el = Telemetry::new();
+        let mut tel_ev = Telemetry::new();
+        let el = build(&case, dist.mean(), ControlPlane::Elided).run_traced(&trace, &mut tel_el);
+        let ev =
+            build(&case, dist.mean(), ControlPlane::EventDriven).run_traced(&trace, &mut tel_ev);
+        prop_assert_eq!(&el.system.completions, &ev.system.completions);
+        prop_assert_eq!(&el.stats, &ev.stats);
+        prop_assert_eq!(tel_el.spans.points(), tel_ev.spans.points());
+        let (el_series, ev_series) = (tel_el.probes.series(), tel_ev.probes.series());
+        prop_assert_eq!(el_series.len(), ev_series.len());
+        for (el_ring, ev_ring) in el_series.iter().zip(ev_series) {
+            prop_assert_eq!((el_ring.name(), el_ring.key()), (ev_ring.name(), ev_ring.key()));
+            let Some(window) = ev_ring.iter().next().map(|s| s.at) else {
+                continue;
+            };
+            let mut ev_samples = ev_ring.iter();
+            for sample in el_ring.iter().filter(|s| s.at >= window) {
+                prop_assert!(
+                    ev_samples.any(|s| s == sample),
+                    "{}[{}]: elided sample {:?} missing from the event-driven run",
+                    el_ring.name(),
+                    el_ring.key(),
+                    sample
+                );
+            }
+        }
+        let untraced = build(&case, dist.mean(), ControlPlane::Elided).run_detailed(&trace);
+        prop_assert_eq!(&el.system.completions, &untraced.system.completions);
+        prop_assert_eq!(el.summary.events, untraced.summary.events);
+        prop_assert_eq!(el.summary.peak_queue, untraced.summary.peak_queue);
+    }
+}
+
+/// Deterministic pin: a mesh with heavy RSS imbalance really does exercise
+/// the migrated-tail machinery (the `stage_hint` fast path is not allowed
+/// to be dead code in this suite), and the control planes still agree on it.
+#[test]
+fn migration_heavy_mesh_exercises_stage_hint() {
+    let mean = SimDuration::from_ns(850);
+    let dist = ServiceDistribution::Exponential { mean };
+    let rate = PoissonProcess::rate_for_load(0.85, 32, mean);
+    let trace = TraceBuilder::new(PoissonProcess::new(rate), dist)
+        .requests(8000)
+        .connections(3) // 3 connections over 4 groups: maximal imbalance
+        .seed(11)
+        .build();
+    let cfg = AcConfig::ac_int(4, 8, mean);
+    let el = Altocumulus::new(cfg.clone()).run_detailed(&trace);
+    assert!(
+        el.stats.migrated_requests > 100,
+        "imbalanced mesh should migrate heavily, got {}",
+        el.stats.migrated_requests
+    );
+    let mut ev_cfg = cfg;
+    ev_cfg.control_plane = ControlPlane::EventDriven;
+    let ev = Altocumulus::new(ev_cfg).run_detailed(&trace);
+    assert_eq!(el.system.completions, ev.system.completions);
+    assert_eq!(el.stats, ev.stats);
 }

@@ -12,7 +12,7 @@
 //!    the deterministic simulation, not noise.
 
 use altocumulus::config::Resilience;
-use altocumulus::{AcConfig, Altocumulus, ControlPlane, WorkerPlane};
+use altocumulus::{AcConfig, Altocumulus, ControlPlane};
 use proptest::prelude::*;
 use simcore::faults::{FaultPlan, NocFaults, Straggler};
 use simcore::time::{SimDuration, SimTime};
@@ -73,12 +73,6 @@ fn build(
     if case.event_driven {
         cfg.control_plane = ControlPlane::EventDriven;
     }
-    // Pin the per-event worker plane on both sides: a non-empty (even
-    // inert) fault plan downgrades the elided worker plane internally, and
-    // this suite's inert-vs-healthy identity includes `summary.events` —
-    // which is the one field the two worker planes legitimately differ in.
-    // The downgrade itself is pinned by prop_workerplane.rs.
-    cfg.worker_plane = WorkerPlane::EventDriven;
     cfg.seed = case.seed;
     cfg.faults = faults;
     cfg.resilience = resilience;

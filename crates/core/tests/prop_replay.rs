@@ -1,13 +1,11 @@
 //! Property tests for the record/replay trace contract.
 //!
-//! The recorded event stream is an *engine-independent* run identity: on
-//! any configuration, the `TRACE/1.0` artifact produced with a recording
-//! sink attached must be identical — event for event, at exact `(time,
-//! seq)` rank — whether the run executed on the elided engine or the
-//! event-driven oracle. A summary-granularity recording (the golden-trace
-//! format)
-//! must likewise verify digest-for-digest against a full re-recording,
-//! which is exactly what the `replay` binary does for a golden gate.
+//! The recorded event stream is a run identity: on any configuration, two
+//! `TRACE/1.0` recordings of the same run must be identical — event for
+//! event, at exact `(time, seq)` rank. A summary-granularity recording (the
+//! golden-trace format) must likewise verify digest-for-digest against a
+//! full re-recording, which is exactly what the `replay` binary does for a
+//! golden gate.
 //!
 //! The corruption properties pin the *detector*: flipping one payload,
 //! dropping one event, or perturbing the recording by a single picosecond
@@ -16,7 +14,7 @@
 //! threads) must be rejected at exactly the first divergent index, with a
 //! diff that names the divergent `(time, seq)`.
 
-use altocumulus::{event_kind_names, AcConfig, Altocumulus, WorkerPlane};
+use altocumulus::{event_kind_names, AcConfig, Altocumulus};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
 use simcore::trace::{
@@ -72,20 +70,12 @@ fn trace_for(case: &Case, requests: usize) -> Trace {
         .build()
 }
 
-/// Records one run of `case` on the engine selected by `plane` and parses
-/// the section back. `config_fp`/`trace_fp` are pinned to 0 — the worker-plane knob is part
-/// of the config fingerprint by design, and this suite compares *event
-/// streams* across engines, not provenance (which has its own unit tests).
-fn record(
-    case: &Case,
-    trace: &Trace,
-    plane: WorkerPlane,
-    perturb: Option<u64>,
-    granularity: Granularity,
-) -> ParsedRun {
+/// Records one run of `case` and parses the section back.
+/// `config_fp`/`trace_fp` are pinned to 0 — this suite compares *event
+/// streams*, not provenance (which has its own unit tests).
+fn record(case: &Case, trace: &Trace, perturb: Option<u64>, granularity: Granularity) -> ParsedRun {
     let mean = SimDuration::from_ns(850);
     let mut cfg = AcConfig::ac_int(case.groups, case.group_size, mean);
-    cfg.worker_plane = plane;
     cfg.seed = case.seed;
     let seed = cfg.seed;
     let mut sys = Altocumulus::new(cfg);
@@ -135,26 +125,23 @@ fn diff_of(expected: &ParsedRun, actual: &ParsedRun) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Record -> replay round-trips divergence-free across both engines:
-    /// the full event streams of the elided engine and the event-driven
-    /// oracle are identical, and a summary-granularity recording (the
-    /// golden format) verifies against a full re-record on the other
-    /// engine.
+    /// Record -> replay round-trips divergence-free: two full recordings
+    /// of one run agree event for event, and a summary-granularity
+    /// recording (the golden format) verifies against a full re-record.
     #[test]
-    fn round_trip_is_engine_invariant(case in case_strategy()) {
+    fn round_trip_is_divergence_free(case in case_strategy()) {
         let trace = trace_for(&case, 2_000);
-        let elided = record(&case, &trace, WorkerPlane::Elided, None, Granularity::Full);
-        let ev = record(&case, &trace, WorkerPlane::EventDriven, None, Granularity::Full);
-        prop_assert_eq!(&elided.engine, "serial_elided");
-        prop_assert_eq!(&ev.engine, "serial_event_driven");
-        prop_assert!(elided.footer.events > 0);
+        let full = record(&case, &trace, None, Granularity::Full);
+        prop_assert_eq!(&full.engine, "serial_event_driven");
+        prop_assert!(full.footer.events > 0);
 
-        let d = diff_of(&elided, &ev);
-        prop_assert!(d.is_empty(), "elided vs event-driven diverged:\n{}", d);
+        let again = record(&case, &trace, None, Granularity::Full);
+        let d = diff_of(&full, &again);
+        prop_assert!(d.is_empty(), "re-recording diverged:\n{}", d);
 
-        // Golden flow: summary recording vs full re-record on another engine.
-        let summary = record(&case, &trace, WorkerPlane::Elided, None, Granularity::Summary);
-        let d = diff_of(&summary, &ev);
+        // Golden flow: summary recording vs full re-record.
+        let summary = record(&case, &trace, None, Granularity::Summary);
+        let d = diff_of(&summary, &full);
         prop_assert!(d.is_empty(), "summary vs full replay diverged:\n{}", d);
     }
 
@@ -167,7 +154,7 @@ proptest! {
         pick in 0u64..u64::MAX,
     ) {
         let trace = trace_for(&case, 1_000);
-        let honest = record(&case, &trace, WorkerPlane::EventDriven, None, Granularity::Full);
+        let honest = record(&case, &trace, None, Granularity::Full);
         prop_assume!(!honest.events.is_empty());
         let i = (pick % honest.events.len() as u64) as usize;
 
@@ -202,21 +189,9 @@ fn perturbed_recording_is_caught_with_exact_location() {
         fixed_service: false,
     };
     let trace = trace_for(&case, 2_000);
-    let honest = record(
-        &case,
-        &trace,
-        WorkerPlane::EventDriven,
-        None,
-        Granularity::Full,
-    );
+    let honest = record(&case, &trace, None, Granularity::Full);
     let k = honest.events.len() / 3;
-    let perturbed = record(
-        &case,
-        &trace,
-        WorkerPlane::EventDriven,
-        Some(k as u64),
-        Granularity::Full,
-    );
+    let perturbed = record(&case, &trace, Some(k as u64), Granularity::Full);
 
     let div = first_divergence(&perturbed, &honest).expect("perturbation must be caught");
     let Divergence::Event {

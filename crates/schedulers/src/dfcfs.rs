@@ -10,11 +10,10 @@ use crate::common::{on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResu
 use rand::rngs::StdRng;
 use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, EventSource, StreamInjector, World};
+use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
 use simcore::faults::FaultPlan;
 use simcore::rng::{stream_rng, streams};
 use simcore::time::{SimDuration, SimTime};
-use simcore::timeline::{worker_plane, Timeline, WorkerPlane};
 use std::collections::VecDeque;
 use workload::request::Completion;
 use workload::trace::Trace;
@@ -37,14 +36,6 @@ pub struct DFcfsConfig {
     pub sched_overhead: SimDuration,
     /// RNG seed for steering decisions.
     pub seed: u64,
-    /// Worker-plane engine. d-FCFS's `Done` events are the textbook
-    /// locally-determined class — each core's completion schedule is its
-    /// own lane, untouched by any other core — so `Elided` (the default)
-    /// parks them on an analytic [`Timeline`] instead of the main event
-    /// queue. Byte-identical to `EventDriven` (the differential oracle);
-    /// non-empty fault plans downgrade wholesale to `EventDriven`, since
-    /// `Fail` truncates a core's schedule mid-flight.
-    pub worker_plane: WorkerPlane,
     /// Injected faults. d-FCFS has no recovery path: a dead core's queued
     /// and future-steered requests are simply lost (the RSS hash keeps
     /// pointing at the dead queue), which is the non-graceful comparison
@@ -64,7 +55,6 @@ impl DFcfsConfig {
             steering: Steering::rss(),
             sched_overhead: SimDuration::from_ns(10),
             seed: 0,
-            worker_plane: WorkerPlane::default(),
             faults: FaultPlan::default(),
         }
     }
@@ -115,11 +105,6 @@ struct DFcfsWorld<'t> {
     /// fail-stopped cores folded in as the dead sentinel — the arrival
     /// path's idle and liveness checks read this one dense word.
     occ: OccTable,
-    /// Elided worker plane: one `Done` class lane (scheduled at
-    /// `now + on-core cost`, so near-sorted up to the service-time
-    /// spread), merged with the main queue by `(time, seq)`. `None` runs
-    /// the per-event oracle.
-    timeline: Option<Timeline<usize>>,
     result: SystemResult,
 }
 
@@ -137,13 +122,7 @@ impl DFcfsWorld<'_> {
         let wall = self.cfg.faults.inflate(core, now, cost);
         self.in_service[core] = Some(qr);
         self.occ.incr(core);
-        match &mut self.timeline {
-            // Seq reserved from the main queue at the exact instant the
-            // oracle's push would claim it: the merged order is the
-            // oracle's, ties included.
-            Some(tl) => tl.push(0, now + wall, q.reserve_seqs(1), core),
-            None => q.push(now + wall, Ev::Done(core)),
-        }
+        q.push(now + wall, Ev::Done(core));
     }
 }
 
@@ -225,98 +204,19 @@ impl RpcSystem for DFcfs {
                 (deliver, Ev::Enqueue(i, core))
             },
         );
-        // Fault plans downgrade wholesale to the per-event oracle: `Fail`
-        // truncates a core's pending `Done` mid-flight, which the analytic
-        // timeline deliberately does not model (same rule as the ALTOCUMULUS
-        // engine).
-        let plane = if self.cfg.faults.is_empty() {
-            worker_plane(self.cfg.worker_plane)
-        } else {
-            WorkerPlane::EventDriven
-        };
         let mut world = DFcfsWorld {
             trace,
             cfg: self.cfg.clone(),
             queues: vec![VecDeque::new(); self.cfg.cores],
             in_service: vec![None; self.cfg.cores],
             occ: OccTable::new(self.cfg.cores),
-            timeline: match plane {
-                // One class lane holding at most one pending `Done` per
-                // core.
-                WorkerPlane::Elided => Some(Timeline::new(1, self.cfg.cores)),
-                WorkerPlane::EventDriven => None,
-            },
             result: SystemResult::with_capacity(trace.len()),
         };
         for f in &self.cfg.faults.worker_failures {
             queue.push(f.at, Ev::Fail(f.core));
         }
-        match plane {
-            WorkerPlane::Elided => run_elided(&mut world, &mut queue, &mut source),
-            WorkerPlane::EventDriven => {
-                run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
-            }
-        }
+        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
         world.result
-    }
-}
-
-/// [`run_streamed`] over the virtual queue (main queue ∪ per-core `Done`
-/// timeline): the merge discipline is the one proven byte-identical for the
-/// ALTOCUMULUS engine (`core/src/system/wp.rs`) — one cached main-queue pop
-/// that stays valid because handlers only ever push onto the timeline, and
-/// refills exactly when the oracle would (ties refill: reserved arrival
-/// seqs precede dynamic ones).
-fn run_elided(
-    world: &mut DFcfsWorld<'_>,
-    queue: &mut EventQueue<Ev>,
-    source: &mut impl EventSource<Ev>,
-) {
-    let mut held: Option<(SimTime, u64, Ev)> = None;
-    let mut source_next = source.next_time();
-    loop {
-        if held.is_none() {
-            held = queue.pop_with_seq();
-        }
-        let local = world.timeline.as_mut().expect("elided run").peek_key();
-        let take_local = match (local, &held) {
-            (Some(lk), Some((ht, hs, _))) => lk < (*ht, *hs),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let head_time = if take_local {
-            local.map(|(t, _)| t)
-        } else {
-            held.as_ref().map(|&(t, _, _)| t)
-        };
-        let Some(head_time) = head_time else {
-            if source_next.is_none() {
-                break;
-            }
-            source.inject_chunk(queue);
-            source_next = source.next_time();
-            continue;
-        };
-        if source_next.is_some_and(|t| head_time >= t) {
-            if let Some((t, seq, ev)) = held.take() {
-                queue.push_at_seq(t, seq, ev);
-            }
-            source.inject_chunk(queue);
-            source_next = source.next_time();
-            continue;
-        }
-        if take_local {
-            let (t, _seq, core) = world
-                .timeline
-                .as_mut()
-                .expect("elided run")
-                .pop()
-                .expect("checked non-empty");
-            world.handle(t, Ev::Done(core), queue);
-        } else {
-            let (t, _seq, ev) = held.take().expect("checked non-empty");
-            world.handle(t, ev, queue);
-        }
     }
 }
 
@@ -418,26 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn elided_matches_event_driven_oracle() {
-        // Dense fixed-service load maximizes exact (time, seq) ties; the
-        // two engines must still agree on every completion field.
-        for (load, n) in [(0.5, 5000), (0.95, 20_000)] {
-            let t = trace(load, 8, n);
-            let mut ev_cfg = DFcfsConfig::rss(8);
-            ev_cfg.worker_plane = WorkerPlane::EventDriven;
-            let elided = DFcfs::new(DFcfsConfig::rss(8)).run(&t);
-            let oracle = DFcfs::new(ev_cfg).run(&t);
-            assert_eq!(elided.completions, oracle.completions);
-            assert_eq!(elided.end_time, oracle.end_time);
-            assert_eq!(elided.p99(), oracle.p99());
-        }
-    }
-
-    #[test]
-    fn fault_plan_downgrades_but_stays_identical() {
+    fn inert_fault_plan_is_identical_to_healthy() {
         // A *non-empty but inert* plan (straggler window past the trace
-        // end) must force the EventDriven downgrade, and the downgraded run
-        // must still equal the healthy elided run byte for byte.
+        // end) runs through the same engine as a healthy run, so every
+        // completion field and the end instant must match byte for byte.
         use simcore::faults::Straggler;
         let t = trace(0.7, 8, 10_000);
         let healthy = DFcfs::new(DFcfsConfig::rss(8)).run(&t);
@@ -452,6 +336,7 @@ mod tests {
         let inert = DFcfs::new(cfg).run(&t);
         assert_eq!(healthy.completions, inert.completions);
         assert_eq!(healthy.end_time, inert.end_time);
+        assert_eq!(healthy.p99(), inert.p99());
     }
 
     #[test]

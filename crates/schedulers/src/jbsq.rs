@@ -15,18 +15,8 @@
 //! *counts* — is exactly what produces its 15.8× tail blow-up on dispersed
 //! service times (Fig. 10), which this model reproduces.
 //!
-//! # Why JBSQ keeps the per-event worker plane
-//!
-//! d-FCFS and the ALTOCUMULUS engine elide worker-plane events onto
-//! analytic [`Timeline`](simcore::timeline::Timeline) lanes because each
-//! producer's schedule is near-chronological and locally determined. JBSQ's
-//! semantics break both properties: every `SliceDone` consults the *central*
-//! hardware queue and may push a `Deliver` to any core whose bound has
-//! room, so a core's incoming-event stream is produced by all cores at
-//! once (no lane ordering), and nanoPU's piggybacked preemption truncates
-//! in-service slices mid-flight (`CoreFree`), which the timeline
-//! deliberately does not model — the same reason fault plans downgrade the
-//! other engines. The `nebula_jbsq` hotpath budget tracks that this
+//! Every system runs its worker plane one event at a time through the
+//! calendar queue. The `nebula_jbsq` hotpath budget tracks that this
 //! per-event path stays within 5% of its seed cost.
 
 use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};

@@ -136,12 +136,6 @@ impl<E> EventQueue<E> {
         Self::with_geometry(DEFAULT_BUCKET_WIDTH_LOG2, DEFAULT_NUM_BUCKETS)
     }
 
-    /// Creates an empty queue; `capacity` is a hint carried over from the
-    /// heap-based API (ring buckets grow on demand, so it is advisory only).
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
-    }
-
     /// Creates an empty queue with `1 << width_log2` picoseconds per bucket
     /// and `num_buckets` ring buckets.
     ///
@@ -380,15 +374,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_scheduled().map(|s| (s.time, s.event))
-    }
-
-    /// Removes and returns the earliest event together with its sequence
-    /// number — the `(time, seq)` rank is the queue's total order, so a
-    /// caller that needs to reinsert the event later (or merge events from
-    /// several queues deterministically) can preserve its exact position via
-    /// [`push_at_seq`](Self::push_at_seq).
-    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        self.pop_scheduled().map(|s| (s.time, s.seq, s.event))
     }
 
     /// The time of the earliest pending event, if any.
@@ -1077,20 +1062,6 @@ mod tests {
         assert!(summary.stopped_early);
         assert_eq!(summary.events, 3);
         assert_eq!(q.len(), 7);
-    }
-
-    #[test]
-    fn pop_with_seq_round_trips_through_push_at_seq() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(10), 'a');
-        q.push(SimTime::from_ns(10), 'b');
-        q.push(SimTime::from_ns(5), 'c');
-        let (t, s, e) = q.pop_with_seq().expect("non-empty");
-        assert_eq!((t, e), (SimTime::from_ns(5), 'c'));
-        // Reinserting under the original seq restores the exact total order.
-        q.push_at_seq(t, s, e);
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['c', 'a', 'b']);
     }
 
     /// The adversarial dense-churn pattern from the calendar-queue bench:

@@ -16,8 +16,6 @@
 //!   keeping event payloads out of the event queue.
 //! - [`alloc`]: a counting global allocator for allocation-budget tests.
 //! - [`parallel`]: deterministic thread fan-out for parameter sweeps.
-//! - [`timeline`]: `(time, seq)`-ordered analytic timelines for
-//!   worker-plane event elision, plus the [`timeline::WorkerPlane`] knob.
 //! - [`report`]: aligned plain-text tables for experiment output.
 //! - [`telemetry`]: request-lifecycle spans, time-series probes and
 //!   Perfetto/JSONL export behind a zero-cost [`telemetry::TelemetrySink`].
@@ -86,7 +84,6 @@ pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 
 pub use event::{
@@ -98,5 +95,4 @@ pub use parallel::{default_threads, parallel_map, seeded_map};
 pub use stats::{batch_means_ci, MeanCi};
 pub use telemetry::{NullSink, Telemetry, TelemetrySink};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{worker_plane, Timeline, WorkerPlane};
 pub use trace::{Granularity, Recorder};

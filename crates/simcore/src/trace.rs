@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! {"artifact":"TRACE/1.0","bin":"fig10_comparison","scenario":"fig10_quick","quick":true,"runs":4}
-//! {"run":"AC_rss@0.05","version":"TRACE/1.0","engine":"serial_elided","seed":10,
+//! {"run":"AC_rss@0.05","version":"TRACE/1.0","engine":"serial_event_driven","seed":10,
 //!  "config_fp":"0x1234","trace_fp":"0x5678","granularity":"summary","checkpoint_every":512,
 //!  "params":{"load":"0.05"}}
 //! {"e":[t_ps,seq,kind,group,"0xpayload"]}      # full granularity only
@@ -27,16 +27,14 @@
 //! ```
 //!
 //! The header pins the run's full identity: seed, config fingerprint,
-//! workload-trace fingerprint, the engine [`choose_engine`] resolved, and
-//! the recording granularity. The body is ordered by the executed
+//! workload-trace fingerprint, the engine label, and the recording
+//! granularity. The body is ordered by the executed
 //! `(time, seq)` rank — the event queue's total order — and the rolling
 //! FNV-1a digest (checkpointed every `checkpoint_every` events) is
 //! computed at *every* granularity, so even a compact summary artifact can
 //! localize a divergence to one checkpoint block.
 //!
-//! Both engines execute the identical `(time, seq, event)` sequence,
-//! so a recorded artifact is engine-independent: the engine field is
-//! provenance, not part of the comparison.
+//! The engine field is provenance, not part of the comparison.
 //!
 //! # Granularities
 //!
@@ -48,8 +46,6 @@
 //!   golden-trace format: a few hundred bytes per thousand events, still
 //!   localizes a divergence to a `checkpoint_every`-event block (the
 //!   replayer then re-runs at full granularity and prints the block).
-//!
-//! [`choose_engine`]: crate::event::run
 
 use crate::telemetry::{parse_json, Json, SpanLog, SpanPoint, TelemetrySink};
 use crate::time::SimTime;

@@ -25,8 +25,6 @@ KEYS = [
     "altocumulus_int_4x16",
     "altocumulus_int_16x16_elided",
     "altocumulus_int_32x32_elided",
-    "altocumulus_int_16x16_wp_event_driven",
-    "altocumulus_int_32x32_wp_event_driven",
     "altocumulus_int_16x16_event_driven",
     "rack_4x16_ac",
     "rack_32x32_fixed",

@@ -75,7 +75,10 @@ echo "==> provenance"
   echo "## Provenance of the current blessing"
   echo
   echo "- toolchain: $(rustc --version)"
-  echo "- commit: $(git rev-parse --short HEAD 2>/dev/null || echo 'uncommitted')"
+  # "-dirty": blessed from a working tree with uncommitted changes on top
+  # of that commit (the usual case, since the bless lands in the same
+  # commit as the change that caused it).
+  echo "- commit: $(git describe --always --dirty 2>/dev/null || echo 'uncommitted')"
   echo "- host: $(uname -sm)"
 } > ci/golden/README.md
 
