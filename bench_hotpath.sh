@@ -8,11 +8,10 @@
 #
 #   ./bench_hotpath.sh
 #
-# The JSON includes a "prior" block with earlier numbers for the same
-# configurations (the 4x16 row before streaming arrivals, the rack row
-# before its routing rewrite, the 32x32 row before the elided worker plane
-# was removed), so regressions are visible without digging through git
-# history.
+# The JSON includes a "prior" block with the previous build's numbers for
+# the same configurations (every row before the idle-period tick
+# short-circuits, measured on the same host), so regressions are visible
+# without digging through git history.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -29,6 +29,15 @@ echo "==> cargo test --workspace --release"
 # below re-run a few of these suites to label their failures.
 cargo test --workspace --release
 
+echo "==> planner oracles (debug profile)"
+# The release suites above compile every debug_assert out, including the
+# manager tick's planner oracles: the patched and short-circuited fast-mode
+# plans against the full-scan planner with the eagerly evaluated threshold,
+# and the single-pass classification against the sorted classifier. Run the
+# two suites that exercise them with debug assertions on.
+cargo test -q -p altocumulus --test prop_control_plane
+cargo test -q -p altocumulus --lib runtime::
+
 echo "==> perfbench tests (benchmark workspace)"
 # The repo benchmark is its own workspace under perfbench/, which
 # `--workspace` above does not reach. Build and test it here so a change to

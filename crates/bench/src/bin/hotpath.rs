@@ -176,11 +176,9 @@ fn main() {
     let mgr_cut = 100.0 * (1.0 - big_elided.events as f64 / big_legacy.events as f64);
 
     // Hand-rolled JSON (no serde in the workspace). The "prior" block holds
-    // the pre-change numbers measured on the same machine for this trace:
-    // criterion medians from the PR-1 build, and the upfront pre-push queue
-    // population (every arrival resident at t=0), the 32-server rack row
-    // as measured before its routing pass and merge were rewritten, and
-    // the 32x32 row as measured with the elided worker plane.
+    // the rows of the build before the idle-period tick short-circuits
+    // (lazy Erlang-C threshold, spread bound before planning), measured on
+    // the same host alternated with this build.
     println!("{{");
     println!(
         "  \"config_64\": \"20k requests, 64 cores, load 0.8, fixed 850ns, 16 conns, seed 1\","
@@ -200,15 +198,14 @@ fn main() {
     println!("  \"manager_plane_event_cut_pct\": {mgr_cut:.1},");
     println!("  \"nebula_jbsq\": {{ \"wall_ms\": {nb_best_ms:.2} }},");
     println!("  \"prior\": {{");
-    println!(
-        "    \"altocumulus_int_4x16\": {{ \"wall_ms\": 12.54, \"peak_event_queue\": 20004 }},"
-    );
-    println!("    \"nebula_jbsq\": {{ \"wall_ms\": 7.88 }},");
-    println!("    \"rack_32x32_fixed\": {{ \"wall_ms\": 93.42, \"route_ms\": 32.50, \"hw_threads\": 2 }},");
-    println!("    \"rack_32x32_fixed_note\": \"before the allocation-free router and k-way completion merge (per-send live/candidate Vecs, SipHash affinity map, sort of a 64 B/entry rack-wide buffer); best of 7 on the same 2-thread host as the current rows\",");
-    println!("    \"altocumulus_int_32x32_elided\": {{ \"wall_ms\": 69.11, \"events\": 127459, \"hw_threads\": 2 }},");
-    println!("    \"altocumulus_int_32x32_elided_note\": \"with the elided worker plane (analytic service timelines), before it was removed; fastest of 6 best-of-7 runs alternated with the per-event build on a noisy 2-thread host, where the per-event build's fastest was 61.28 ms and the run-to-run spread (61-91 ms) hid the difference. On a quieter 2-thread host the elided plane measured 55.9 ms against 65.8 ms per-event: this row is the one configuration the per-event worker plane is slower on\",");
-    println!("    \"note\": \"criterion medians before streaming arrivals + scratch reuse; peak queue was O(trace): all 20k arrivals pre-pushed\"");
+    println!("    \"altocumulus_int_4x16\": {{ \"wall_ms\": 8.53, \"events\": 67562, \"peak_event_queue\": 1093, \"hw_threads\": 2 }},");
+    println!("    \"altocumulus_int_16x16_elided\": {{ \"wall_ms\": 20.25, \"events\": 137790, \"peak_event_queue\": 1246, \"hw_threads\": 2 }},");
+    println!("    \"altocumulus_int_32x32_elided\": {{ \"wall_ms\": 58.71, \"events\": 247459, \"peak_event_queue\": 1458, \"hw_threads\": 2 }},");
+    println!("    \"altocumulus_int_16x16_event_driven\": {{ \"wall_ms\": 42.14, \"events\": 379587, \"peak_event_queue\": 1483, \"hw_threads\": 2 }},");
+    println!("    \"rack_4x16_ac\": {{ \"wall_ms\": 12.36, \"events\": 77379, \"peak_event_queue\": 1036, \"hw_threads\": 2 }},");
+    println!("    \"rack_32x32_fixed\": {{ \"wall_ms\": 69.71, \"events\": 336468, \"peak_event_queue\": 1057, \"route_ms\": 10.91, \"hw_threads\": 2 }},");
+    println!("    \"nebula_jbsq\": {{ \"wall_ms\": 6.23 }},");
+    println!("    \"note\": \"before the idle-period tick short-circuits (lazy Erlang-C threshold, spread bound before planning): fastest of 30 best-of-7 runs alternated with this build on a noisy 2-thread host. This build's fastest over the same 30 runs, and the runs it was faster in: 4x16 7.40 ms (18/30), 16x16 elided 15.43 (29/30), 32x32 elided 62.47 (18/30), 16x16 event-driven 40.05 (22/30), rack 4x16 7.83 (30/30), rack 32x32 62.41 (23/30, route 10.56), nebula 6.37 ms (18/30); every row's events and peak_event_queue are unchanged. The 32x32 row gets only the lazy threshold: its 64 groups have UPDATE offsets past the period, which turns the shared-view fast mode (and with it the spread bound) off, so its difference is within the host's run-to-run spread\"");
     println!("  }}");
     println!("}}");
 

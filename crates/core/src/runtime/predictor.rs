@@ -36,6 +36,39 @@ impl ThresholdPolicy {
             }
         }
     }
+
+    /// A load-independent lower bound on [`threshold`](Self::threshold):
+    /// `floor(workers) <= threshold(workers, x)` for every offered load `x`,
+    /// overload included.
+    ///
+    /// The runtime only ever compares the threshold against the manager's
+    /// own queue length (`len > T`), so a tick whose queue is at most the
+    /// floor can pass the floor instead and skip the Erlang-B recurrence
+    /// without changing a single decision.
+    pub fn floor(&self, workers: usize) -> usize {
+        match *self {
+            // `ThresholdModel::threshold` rounds and floors at 1, or
+            // saturates at `usize::MAX` when overloaded.
+            ThresholdPolicy::Model(_) => 1,
+            ThresholdPolicy::Fixed(t) => t,
+            ThresholdPolicy::NaiveUpperBound { slo_ratio } => {
+                queueing::naive_upper_bound(workers, slo_ratio)
+            }
+        }
+    }
+
+    /// [`threshold`](Self::threshold) as the runtime reads it: exact
+    /// whenever `own_len` exceeds [`floor`](Self::floor), and the floor
+    /// otherwise — indistinguishable to every `own_len > T` comparison, and
+    /// O(1) on the idle ticks that dominate a lightly loaded mesh.
+    pub fn threshold_for(&self, workers: usize, offered: f64, own_len: usize) -> usize {
+        let floor = self.floor(workers);
+        if own_len > floor {
+            self.threshold(workers, offered)
+        } else {
+            floor
+        }
+    }
 }
 
 /// Exponentially-weighted estimator of the local offered load.
@@ -206,6 +239,73 @@ mod tests {
             ThresholdPolicy::NaiveUpperBound { slo_ratio: 10.0 }.threshold(64, 60.0),
             641
         );
+    }
+
+    fn any_policy() -> impl proptest::strategy::Strategy<Value = ThresholdPolicy> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(ThresholdPolicy::Model(ThresholdModel::paper_fixed())),
+            Just(ThresholdPolicy::Model(ThresholdModel::identity())),
+            (-2.0f64..3.0, -10.0f64..10.0, -2.0f64..3.0, -10.0f64..10.0)
+                .prop_map(|(a, b, c, d)| ThresholdPolicy::Model(ThresholdModel { a, b, c, d })),
+            (0usize..1000).prop_map(ThresholdPolicy::Fixed),
+            (0.0f64..20.0).prop_map(|slo_ratio| ThresholdPolicy::NaiveUpperBound { slo_ratio }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The floor is a lower bound on the threshold at every load from
+        /// idle to twice the group's capacity (overload included), so a
+        /// queue at or below it compares identically against either.
+        #[test]
+        fn floor_bounds_threshold_from_below(
+            policy in any_policy(),
+            workers in 1usize..64,
+            // Idle, exactly at capacity and twice capacity pinned, plus
+            // everything between.
+            load_frac in proptest::prop_oneof![
+                proptest::strategy::Just(0.0f64),
+                proptest::strategy::Just(1.0f64),
+                proptest::strategy::Just(2.0f64),
+                0.0f64..2.0,
+            ],
+            random_len in 0usize..2000,
+        ) {
+            let offered = workers as f64 * load_frac;
+            let floor = policy.floor(workers);
+            let exact = policy.threshold(workers, offered);
+            proptest::prop_assert!(exact >= floor, "{policy:?} w={workers} x={offered}");
+            // Queue lengths on both sides of the floor and of the exact
+            // threshold, where a wrong cut-over would flip a comparison.
+            let lens = [
+                0,
+                floor.saturating_sub(1),
+                floor,
+                floor.saturating_add(1),
+                exact,
+                exact.saturating_add(1),
+                random_len,
+            ];
+            for own_len in lens {
+                let lazy = policy.threshold_for(workers, offered, own_len);
+                proptest::prop_assert_eq!(own_len > lazy, own_len > exact);
+                if own_len > floor {
+                    proptest::prop_assert_eq!(lazy, exact);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_is_attained() {
+        // Each floor is the tightest load-independent bound: idle load
+        // reaches it.
+        let m = ThresholdPolicy::Model(ThresholdModel::paper_fixed());
+        assert_eq!(m.floor(16), 1);
+        assert_eq!(m.threshold(16, 0.0), 1);
+        assert_eq!(ThresholdPolicy::Fixed(7).floor(16), 7);
+        let naive = ThresholdPolicy::NaiveUpperBound { slo_ratio: 10.0 };
+        assert_eq!(naive.floor(64), naive.threshold(64, 0.0));
     }
 
     #[test]

@@ -783,7 +783,11 @@ struct TickScratch {
     /// once per tick instant and patched per group (`ext_instant` tags the
     /// instant they were computed for).
     shared_ext: SharedExtremes,
-    ext_instant: SimTime,
+    ext_instant: Option<SimTime>,
+    /// `(min, max)` of the shared PR view, computed once per tick instant
+    /// (`bounds_instant`) for the idle-period short-circuit.
+    shared_bounds: (u32, u32),
+    bounds_instant: Option<SimTime>,
     /// Buffers for the debug-build differential check of the patched
     /// planner against the full-scan oracle (reused so the allocation
     /// gates hold in debug too).
@@ -1770,8 +1774,25 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
         self.cold[g].estimator.observe(arrivals, cfg.period);
         let offered = self.cold[g].estimator.offered_erlangs();
 
-        // 2. Threshold from the prediction model at the measured load.
-        let threshold = cfg.threshold.threshold(cfg.workers_per_group(), offered);
+        // 2. Threshold from the prediction model at the measured load. Its
+        //    only readers compare it against this group's own queue length
+        //    (`len > T`: the planner's threshold trigger, predict-only's
+        //    marking), so a queue at or below the policy's load-independent
+        //    floor reads the floor instead of running the Erlang-B
+        //    recurrence — the same decisions, O(1) on idle ticks.
+        let own_len = self.groups[g].netrx.len() as u32;
+        let workers = cfg.workers_per_group();
+        let threshold = cfg
+            .threshold
+            .threshold_for(workers, offered, own_len as usize);
+        #[cfg(debug_assertions)]
+        let eager_threshold = cfg.threshold.threshold(workers, offered);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            own_len as usize > threshold,
+            own_len as usize > eager_threshold,
+            "lazy threshold changed a trigger decision"
+        );
 
         // Telemetry probes sample the tick-time state the runtime just
         // computed. Pure reads — dormant (fast-forwarded) groups simply
@@ -1799,7 +1820,6 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
 
         // 4. Snapshot q: own queue live, remote from UPDATE-fed PR view
         //    (the shared one in fast mode — every group's view coincides).
-        let own_len = self.groups[g].netrx.len() as u32;
         let q_view = &mut self.scratch.q_view;
         q_view.clear();
         if self.upd_fast {
@@ -1964,23 +1984,47 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                 // per group in O(concurrency) instead of rescanned in
                 // O(groups). The shared view is stable within an instant —
                 // records broadcast at it only drain at later ones.
-                if self.scratch.ext_instant != now {
-                    self.scratch.shared_ext.rank(&self.upd_gq, cfg.concurrency);
-                    self.scratch.ext_instant = now;
+                //
+                // Idle-period short-circuit: the overlaid view's spread is
+                // at most `max(hi, own) − min(lo, own)` over the shared
+                // view's bounds. Below `bulk` no pattern classifies, and at
+                // or below the threshold the threshold trigger cannot fire
+                // either, so the plan is provably empty — the ranking then
+                // waits for the first tick of the instant that can plan.
+                if self.scratch.bounds_instant != Some(now) {
+                    let gq = &self.upd_gq;
+                    let lo = gq.iter().copied().min().unwrap_or(0);
+                    let hi = gq.iter().copied().max().unwrap_or(0);
+                    self.scratch.shared_bounds = (lo, hi);
+                    self.scratch.bounds_instant = Some(now);
                 }
-                plan_patched_into(
-                    g,
-                    own_len,
-                    q_view.len(),
-                    self.upd_gq[g],
-                    &self.scratch.shared_ext,
-                    threshold,
-                    cfg.bulk,
-                    cfg.concurrency,
-                    use_patterns,
-                    &mut self.scratch.plan,
-                    orders,
-                );
+                let (lo, hi) = self.scratch.shared_bounds;
+                let spread = hi.max(own_len) - lo.min(own_len);
+                let idle = own_len as usize <= threshold
+                    && (!use_patterns || (spread as usize) < cfg.bulk);
+                if idle {
+                    orders.clear();
+                } else {
+                    if self.scratch.ext_instant != Some(now) {
+                        self.scratch.shared_ext.rank(&self.upd_gq, cfg.concurrency);
+                        self.scratch.ext_instant = Some(now);
+                    }
+                    plan_patched_into(
+                        g,
+                        own_len,
+                        q_view.len(),
+                        self.upd_gq[g],
+                        &self.scratch.shared_ext,
+                        threshold,
+                        cfg.bulk,
+                        cfg.concurrency,
+                        use_patterns,
+                        &mut self.scratch.plan,
+                        orders,
+                    );
+                }
+                // Both short-cuts are checked against the full-scan planner
+                // over the overlaid view with the eagerly evaluated threshold.
                 #[cfg(debug_assertions)]
                 {
                     let oracle = &mut self.scratch.oracle_orders;
@@ -1988,7 +2032,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                         plan_migrations_into(
                             g,
                             q_view,
-                            threshold,
+                            eager_threshold,
                             cfg.bulk,
                             cfg.concurrency,
                             &mut self.scratch.oracle_plan,
@@ -1998,7 +2042,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                         plan_threshold_only_into(
                             g,
                             q_view,
-                            threshold,
+                            eager_threshold,
                             cfg.bulk,
                             cfg.concurrency,
                             &mut self.scratch.oracle_plan,
@@ -2007,7 +2051,7 @@ impl<S: TelemetrySink> AcWorld<'_, S> {
                     }
                     debug_assert_eq!(
                         orders, oracle,
-                        "patched planner diverged from the full-scan oracle"
+                        "fast-mode plan (short-circuited: {idle}) diverged from the full-scan oracle"
                     );
                 }
             } else {

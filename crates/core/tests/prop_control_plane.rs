@@ -21,9 +21,17 @@
 //! concentrate arrivals through RSS imbalance, so migration-heavy meshes
 //! build long migrated tails, and the `fixed_service` dimension packs the
 //! schedule with exact time ties.
+//!
+//! The threshold and pattern policies vary too, so both branches of the
+//! manager tick's idle-period short-circuits run under the differential: a
+//! zero or tiny fixed threshold lets the threshold trigger fire below the
+//! model's floor of 1, the naive bound keeps it from firing at all, and
+//! threshold-only planning skips the pattern spread test.
 
-use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface};
+use altocumulus::config::PatternPolicy;
+use altocumulus::{AcConfig, Altocumulus, Attachment, ControlPlane, Interface, ThresholdPolicy};
 use proptest::prelude::*;
+use queueing::threshold::ThresholdModel;
 use simcore::telemetry::Telemetry;
 use simcore::time::SimDuration;
 use workload::{PoissonProcess, ServiceDistribution, Trace, TraceBuilder};
@@ -43,6 +51,8 @@ struct PlaneCase {
     connections: u32,
     seed: u64,
     fixed_service: bool,
+    threshold: ThresholdPolicy,
+    patterns: PatternPolicy,
 }
 
 fn case_strategy() -> impl Strategy<Value = PlaneCase> {
@@ -67,6 +77,12 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
             prop_oneof![1u32..4, 1u32..32],
             0u64..1000,
             any::<bool>(), // fixed service
+            prop_oneof![
+                Just(ThresholdPolicy::Model(ThresholdModel::paper_fixed())),
+                (0usize..4).prop_map(ThresholdPolicy::Fixed),
+                (0.0f64..4.0).prop_map(|slo_ratio| ThresholdPolicy::NaiveUpperBound { slo_ratio }),
+            ],
+            prop_oneof![Just(PatternPolicy::All), Just(PatternPolicy::ThresholdOnly)],
         ),
     )
         .prop_map(
@@ -81,7 +97,7 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
                 lb,
                 predict_only,
                 load,
-                (conns, seed, fixed_service),
+                (conns, seed, fixed_service, threshold, patterns),
             )| {
                 PlaneCase {
                     groups,
@@ -97,6 +113,8 @@ fn case_strategy() -> impl Strategy<Value = PlaneCase> {
                     connections: conns,
                     seed,
                     fixed_service,
+                    threshold,
+                    patterns,
                 }
             },
         )
@@ -113,6 +131,8 @@ fn build(case: &PlaneCase, mean: SimDuration, plane: ControlPlane) -> Altocumulu
     cfg.concurrency = case.concurrency;
     cfg.local_bound = case.local_bound;
     cfg.predict_only = case.predict_only;
+    cfg.threshold = case.threshold;
+    cfg.patterns = case.patterns;
     cfg.control_plane = plane;
     cfg.seed = case.seed;
     Altocumulus::new(cfg)

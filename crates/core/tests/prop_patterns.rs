@@ -1,6 +1,9 @@
 //! Property-based tests for pattern classification and migration planning.
 
-use altocumulus::runtime::patterns::{classify, guard_allows, plan_migrations, Pattern};
+use altocumulus::runtime::patterns::{
+    classify, guard_allows, plan_migrations, plan_migrations_into, plan_threshold_only_into,
+    Pattern, PlanScratch,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,6 +90,29 @@ proptest! {
                 prop_assert!(s[s.len()-1] - s[0] >= bulk as u32);
             }
         }
+    }
+
+    /// The idle-period lemma behind the manager tick's short-circuit: a
+    /// manager at or below the threshold plans nothing on a mesh whose
+    /// spread is below `bulk`, with or without the pattern roles.
+    #[test]
+    fn balanced_below_threshold_plans_nothing(
+        base in 0u32..5000,
+        offsets in proptest::collection::vec(any::<u32>(), 1..64),
+        bulk in 1usize..64,
+        me_seed in 0usize..64,
+        conc_seed in 1usize..64,
+        slack in prop_oneof![Just(0usize), 0usize..100, Just(usize::MAX)],
+    ) {
+        let q: Vec<u32> = offsets.iter().map(|o| base + o % bulk as u32).collect();
+        let me = me_seed % q.len();
+        let concurrency = conc_seed.min(bulk);
+        let threshold = (q[me] as usize).saturating_add(slack);
+        let (mut scratch, mut orders) = (PlanScratch::default(), Vec::new());
+        plan_migrations_into(me, &q, threshold, bulk, concurrency, &mut scratch, &mut orders);
+        prop_assert!(orders.is_empty(), "patterns planned {orders:?}");
+        plan_threshold_only_into(me, &q, threshold, bulk, concurrency, &mut scratch, &mut orders);
+        prop_assert!(orders.is_empty(), "threshold-only planned {orders:?}");
     }
 
     /// The guard is antisymmetric-ish: if a migration src->dst is allowed,

@@ -8,9 +8,11 @@
 //!
 //! - [`EventQueue`] — a calendar queue (bucketed timing wheel) tuned for the
 //!   short-horizon, high-density event populations of nanosecond-scale RPC
-//!   simulation. Near-future events land in O(1) ring buckets; far-future
-//!   events overflow into a sorted heap and migrate into the ring as the
-//!   window advances.
+//!   simulation. Near-future events land in O(1) ring buckets; events past
+//!   the window overflow into a sorted heap. The window does not slide with
+//!   the pop cursor: it re-anchors at the overflow minimum only when the
+//!   ring drains (or an adaptive-width rehash rebuilds it), and only then
+//!   do overflow events migrate into the ring.
 //! - [`BinaryHeapQueue`] — the classic `BinaryHeap` implementation, kept as
 //!   the differential-testing oracle and benchmarking baseline.
 //!
