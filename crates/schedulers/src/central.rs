@@ -9,13 +9,11 @@
 //! - preemption costs a context switch / IPI, so the quantum is ~5 µs;
 //! - one core is lost to dispatching.
 
-use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{RpcSystem, SystemResult};
+use crate::pool::{self, Handoff, Policy, Shape};
 use rpcstack::nic::{NicModel, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
-use simcore::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use workload::request::Completion;
+use simcore::time::SimDuration;
 use workload::trace::Trace;
 
 /// Configuration of the centralized-dispatch system.
@@ -78,111 +76,20 @@ impl CentralDispatch {
     }
 }
 
-enum Ev {
-    /// Request delivered to the dispatcher's central queue.
-    Enqueue(usize),
-    /// Dispatcher finished pushing a request to worker `w`.
-    Deliver(usize, QueuedRequest),
-    /// Worker `w` finished its current slice.
-    SliceDone(usize),
-    /// Worker `w` finished paying its preemption overhead.
-    WorkerFree(usize),
-    /// Dispatcher becomes free again.
-    DispatcherFree,
-}
-
-struct CentralWorld<'t> {
-    trace: &'t Trace,
-    cfg: CentralConfig,
-    central: VecDeque<QueuedRequest>,
-    /// Worker slot: None = idle, Some = reserved or running.
-    busy: Vec<Option<QueuedRequest>>,
-    /// Hot plane: 0/1 busy flags mirrored from `busy`, so the dispatcher's
-    /// first-idle scan reads one dense word per worker instead of walking
-    /// the descriptor slots.
-    occ: OccTable,
-    dispatcher_free_at: SimTime,
-    result: SystemResult,
-}
-
-impl CentralWorld<'_> {
-    fn try_dispatch(&mut self, now: SimTime, q: &mut EventQueue<Ev>) {
-        if self.dispatcher_free_at > now {
-            return; // a DispatcherFree event is already pending
-        }
-        if self.central.is_empty() {
-            return;
-        }
-        let Some(widx) = self.occ.first_idle(0..self.busy.len()) else {
-            return;
-        };
-        debug_assert!(self.busy[widx].is_none());
-        let qr = self.central.pop_front().expect("non-empty central queue");
-        // Reserve the worker for the in-flight delivery.
-        self.busy[widx] = Some(qr);
-        self.occ.incr(widx);
-        let done_at = now + self.cfg.dispatch_cost;
-        self.dispatcher_free_at = done_at;
-        q.push(done_at, Ev::Deliver(widx, qr));
-        q.push(done_at, Ev::DispatcherFree);
-    }
-}
-
-impl World for CentralWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::Enqueue(idx) => {
-                let req = &self.trace.requests()[idx];
-                // Total on-core work: stack rx + handler + stack tx.
-                let total = self.cfg.stack.rx(req.size_bytes) + req.service + self.cfg.stack.tx(64);
-                self.central.push_back(QueuedRequest::new(idx, total, now));
-                self.try_dispatch(now, q);
-            }
-            Ev::Deliver(widx, qr) => {
-                let slice = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
-                self.busy[widx] = Some(qr);
-                q.push(now + slice, Ev::SliceDone(widx));
-            }
-            Ev::SliceDone(widx) => {
-                let mut qr = self.busy[widx].take().expect("slice on idle worker");
-                let ran = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
-                qr.remaining = qr.remaining.saturating_sub(ran);
-                if qr.remaining.is_zero() {
-                    self.occ.decr(widx);
-                    let req = &self.trace.requests()[qr.idx];
-                    self.result.record(Completion {
-                        id: req.id,
-                        arrival: req.arrival,
-                        finish: now,
-                        core: widx + 1, // worker cores are 1..cores
-                        migrated: false,
-                    });
-                    self.try_dispatch(now, q);
-                } else {
-                    // Preempted: requeue at the central tail; the worker pays
-                    // the context-switch overhead before it is usable again,
-                    // so keep it reserved until WorkerFree fires.
-                    self.busy[widx] = Some(qr);
-                    self.central.push_back(qr);
-                    q.push(now + self.cfg.preempt_overhead, Ev::WorkerFree(widx));
-                }
-            }
-            Ev::WorkerFree(widx) => {
-                self.busy[widx] = None;
-                self.occ.decr(widx);
-                self.try_dispatch(now, q);
-            }
-            Ev::DispatcherFree => {
-                self.try_dispatch(now, q);
-            }
+/// One central queue; a serial dispatcher hands each head to the first idle
+/// worker and sees a preempted worker busy through its context switch.
+impl Policy for CentralConfig {
+    fn shape(&self) -> Shape {
+        let workers = self.cores - 1;
+        Shape {
+            first_core: 1, // core 0 is the dispatcher
+            transfer: Some(self.transfer),
+            stack: Some(self.stack),
+            domain: workers,
+            handoff: Handoff::Dispatcher(self.dispatch_cost),
+            quantum: self.quantum,
+            preempt_overhead: self.preempt_overhead,
+            ..Shape::new(workers, self.nic.mac_delay)
         }
     }
 }
@@ -193,35 +100,7 @@ impl RpcSystem for CentralDispatch {
     }
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
-        // Arrivals stream into the queue in chunks as time advances; seqs
-        // reserved in trace order keep the pop order byte-identical to an
-        // upfront pre-push while the queue stays O(in-flight).
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i))
-            },
-        );
-        let mut world = CentralWorld {
-            trace,
-            cfg: self.cfg.clone(),
-            central: VecDeque::new(),
-            busy: vec![None; self.cfg.cores - 1],
-            occ: OccTable::new(self.cfg.cores - 1),
-            dispatcher_free_at: SimTime::ZERO,
-            result: SystemResult::with_capacity(trace.len()),
-        };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
-        world.result
+        pool::run(self.cfg.clone(), trace).0
     }
 }
 

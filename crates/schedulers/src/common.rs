@@ -129,8 +129,9 @@ pub trait RpcSystem {
 /// a sentinel, so liveness checks cost no second array.
 ///
 /// All counts are maintained incrementally by the caller; the table has no
-/// opinion about what "occupancy" means (running + local + in-flight for
-/// JBSQ, a 0/1 busy flag for the dispatch/stealing models).
+/// opinion about what "occupancy" means. The baselines' core pool counts a
+/// core's running request, local queue, in-flight hand-offs and reserving
+/// preemption stall, which is a 0/1 busy flag for every system but JBSQ.
 #[derive(Debug, Clone)]
 pub struct OccTable {
     occ: Vec<u32>,
@@ -181,9 +182,9 @@ impl OccTable {
     /// `range.filter(|c| live && occ < bound).min_by_key(occ)` — and the
     /// scan exits early on a zero, so a mostly-idle mesh answers in O(1).
     pub fn argmin_under(&self, range: std::ops::Range<usize>, bound: u32) -> Option<usize> {
+        let lo = range.start;
         let mut best: Option<(u32, usize)> = None;
-        for core in range {
-            let occ = self.occ[core];
+        for (core, &occ) in (lo..).zip(&self.occ[range]) {
             if occ >= bound {
                 continue; // covers DEAD: the sentinel is never under a bound
             }

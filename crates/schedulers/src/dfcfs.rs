@@ -6,16 +6,12 @@
 //! load-oblivious — the paper's example of unpredictable tail latency under
 //! imbalance or dispersed service times.
 
-use crate::common::{on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
-use rand::rngs::StdRng;
+use crate::common::{RpcSystem, SystemResult};
+use crate::pool::{self, Policy, Shape};
 use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
 use simcore::faults::FaultPlan;
-use simcore::rng::{stream_rng, streams};
-use simcore::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use workload::request::Completion;
+use simcore::time::SimDuration;
 use workload::trace::Trace;
 
 /// Configuration of a d-FCFS system.
@@ -72,106 +68,27 @@ pub struct DFcfs {
 }
 
 impl DFcfs {
-    /// Creates the system.
+    /// Creates the system; `run` rejects faults on cores it lacks.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero.
     pub fn new(cfg: DFcfsConfig) -> Self {
         assert!(cfg.cores > 0, "need at least one core");
-        cfg.faults.validate();
-        for f in &cfg.faults.worker_failures {
-            assert!(f.core < cfg.cores, "failure targets a nonexistent core");
-        }
         DFcfs { cfg }
     }
 }
 
-enum Ev {
-    /// Request `idx` reaches its steered queue.
-    Enqueue(usize, usize),
-    /// Core finished its in-service request.
-    Done(usize),
-    /// Fault plan: the core fails permanently. Never pushed by healthy runs.
-    Fail(usize),
-}
-
-struct DFcfsWorld<'t> {
-    trace: &'t Trace,
-    cfg: DFcfsConfig,
-    queues: Vec<VecDeque<QueuedRequest>>,
-    in_service: Vec<Option<QueuedRequest>>,
-    /// Hot plane: 0/1 busy flags mirrored from `in_service`, with
-    /// fail-stopped cores folded in as the dead sentinel — the arrival
-    /// path's idle and liveness checks read this one dense word.
-    occ: OccTable,
-    result: SystemResult,
-}
-
-impl DFcfsWorld<'_> {
-    fn start(&mut self, core: usize, qr: QueuedRequest, now: SimTime, q: &mut EventQueue<Ev>) {
-        let req = &self.trace.requests()[qr.idx];
-        let cost = on_core_cost(
-            self.cfg.stack.rx(req.size_bytes),
-            self.cfg.stack.tx(64),
-            req,
-            self.cfg.sched_overhead,
-        );
-        // Straggler inflation is identity when no interval covers this
-        // core/instant (bit-for-bit, see simcore::faults).
-        let wall = self.cfg.faults.inflate(core, now, cost);
-        self.in_service[core] = Some(qr);
-        self.occ.incr(core);
-        q.push(now + wall, Ev::Done(core));
-    }
-}
-
-impl World for DFcfsWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::Enqueue(idx, core) => {
-                if self.occ.is_dead(core) {
-                    // No rebalancing path exists: the request is lost.
-                    return;
-                }
-                let req = &self.trace.requests()[idx];
-                let qr = QueuedRequest::new(idx, req.service, now);
-                if self.occ.get(core) == 0 {
-                    debug_assert!(self.in_service[core].is_none());
-                    self.start(core, qr, now, q);
-                } else {
-                    self.queues[core].push_back(qr);
-                }
-            }
-            Ev::Done(core) => {
-                if self.occ.is_dead(core) {
-                    // Stale completion from before the core's death.
-                    return;
-                }
-                let qr = self.in_service[core].take().expect("Done on an idle core");
-                self.occ.decr(core);
-                let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: false,
-                });
-                if let Some(next) = self.queues[core].pop_front() {
-                    self.start(core, next, now, q);
-                }
-            }
-            Ev::Fail(core) => {
-                // Fail-stop: the running request and everything queued
-                // behind it are lost, as is everything the NIC steers here
-                // from now on.
-                self.occ.mark_dead(core);
-                self.in_service[core] = None;
-                self.queues[core].clear();
-            }
+/// RSS to a core's own queue, served FCFS run-to-completion; no balancing.
+impl Policy for DFcfsConfig {
+    fn shape(&self) -> Shape {
+        Shape {
+            transfer: Some(self.transfer),
+            stack: Some(self.stack),
+            overhead: self.sched_overhead,
+            steering: Some((self.steering.clone(), self.seed)),
+            faults: self.faults.clone(),
+            ..Shape::new(self.cores, self.nic.mac_delay)
         }
     }
 }
@@ -182,47 +99,14 @@ impl RpcSystem for DFcfs {
     }
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
-        let mut steering = self.cfg.steering.clone();
-        let mut rng: StdRng = stream_rng(self.cfg.seed, streams::NIC);
-        // Streamed arrivals: seqs reserved in trace order keep pop order —
-        // and the per-arrival steering RNG draws — identical to the old
-        // upfront pre-push, with an O(in-flight) queue.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let cores = self.cfg.cores;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let core = steering.steer(req.conn, cores, &mut rng);
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i, core))
-            },
-        );
-        let mut world = DFcfsWorld {
-            trace,
-            cfg: self.cfg.clone(),
-            queues: vec![VecDeque::new(); self.cfg.cores],
-            in_service: vec![None; self.cfg.cores],
-            occ: OccTable::new(self.cfg.cores),
-            result: SystemResult::with_capacity(trace.len()),
-        };
-        for f in &self.cfg.faults.worker_failures {
-            queue.push(f.at, Ev::Fail(f.core));
-        }
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
-        world.result
+        pool::run(self.cfg.clone(), trace).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::time::SimTime;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
     use workload::trace::TraceBuilder;

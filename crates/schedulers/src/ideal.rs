@@ -9,11 +9,9 @@
 //!   correlates it with whether that request eventually violated its SLO —
 //!   the characterization from which the threshold model is calibrated.
 
-use crate::common::{QueuedRequest, RpcSystem, SystemResult};
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
-use simcore::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use workload::request::Completion;
+use crate::common::{RpcSystem, SystemResult};
+use crate::pool::{self, Policy, Shape};
+use simcore::time::SimDuration;
 use workload::trace::Trace;
 
 /// Configuration of the idealized central-queue system.
@@ -117,85 +115,36 @@ impl CentralQueue {
 
     /// Runs with queue-length instrumentation.
     pub fn run_instrumented(&mut self, trace: &Trace) -> InstrumentedResult {
-        // Streamed arrivals: reserved seqs keep pop order identical to the
-        // old upfront pre-push while the queue stays O(in-flight).
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival,
-            |i: usize| (requests[i].arrival, Ev::Arrival(i)),
-        );
-        let mut world = CqWorld {
-            trace,
+        let policy = Instrumented {
             cfg: self.cfg,
-            central: VecDeque::new(),
-            running: vec![None; self.cfg.cores],
             arrival_queue_len: vec![0; trace.len()],
-            result: SystemResult::with_capacity(trace.len()),
         };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
+        let (system, policy) = pool::run(policy, trace);
         InstrumentedResult {
-            system: world.result,
-            arrival_queue_len: world.arrival_queue_len,
+            system,
+            arrival_queue_len: policy.arrival_queue_len,
         }
     }
 }
 
-enum Ev {
-    Arrival(usize),
-    Done(usize),
-}
-
-struct CqWorld<'t> {
-    trace: &'t Trace,
+/// One run's policy: one central queue whose head starts on the first idle
+/// core in the same instant, recording the queue each arrival joins.
+struct Instrumented {
     cfg: CentralQueueConfig,
-    central: VecDeque<QueuedRequest>,
-    running: Vec<Option<QueuedRequest>>,
     arrival_queue_len: Vec<u32>,
-    result: SystemResult,
 }
 
-impl CqWorld<'_> {
-    fn start(&mut self, core: usize, qr: QueuedRequest, now: SimTime, q: &mut EventQueue<Ev>) {
-        let cost = qr.remaining + self.cfg.sched_overhead;
-        self.running[core] = Some(qr);
-        q.push(now + cost, Ev::Done(core));
-    }
-}
-
-impl World for CqWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::Arrival(idx) => {
-                let req = &self.trace.requests()[idx];
-                self.arrival_queue_len[idx] = self.central.len() as u32;
-                let qr = QueuedRequest::new(idx, req.service, now);
-                if let Some(core) = self.running.iter().position(Option::is_none) {
-                    self.start(core, qr, now, q);
-                } else {
-                    self.central.push_back(qr);
-                }
-            }
-            Ev::Done(core) => {
-                let qr = self.running[core].take().expect("Done on idle core");
-                let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: false,
-                });
-                if let Some(next) = self.central.pop_front() {
-                    self.start(core, next, now, q);
-                }
-            }
+impl Policy for Instrumented {
+    fn shape(&self) -> Shape {
+        Shape {
+            domain: self.cfg.cores,
+            overhead: self.cfg.sched_overhead,
+            ..Shape::new(self.cfg.cores, SimDuration::ZERO)
         }
+    }
+
+    fn arrived(&mut self, idx: usize, ahead: usize) {
+        self.arrival_queue_len[idx] = ahead as u32;
     }
 }
 

@@ -14,19 +14,13 @@
 //! Nebula's lack of long-request awareness — JBSQ decides only on queue
 //! *counts* — is exactly what produces its 15.8× tail blow-up on dispersed
 //! service times (Fig. 10), which this model reproduces.
-//!
-//! Every system runs its worker plane one event at a time through the
-//! calendar queue. The `nebula_jbsq` hotpath budget tracks that this
-//! per-event path stays within 5% of its seed cost.
 
-use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
-use rpcstack::nic::{NicModel, Transfer};
+use crate::common::{RpcSystem, SystemResult};
+use crate::pool::{self, Handoff, Policy, Shape};
+use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
 use simcore::faults::FaultPlan;
-use simcore::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use workload::request::Completion;
+use simcore::time::SimDuration;
 use workload::trace::Trace;
 
 /// Which published system the JBSQ model instantiates.
@@ -133,190 +127,29 @@ impl Jbsq {
         }
     }
 
-    /// Creates a custom configuration (for ablations).
+    /// A custom configuration (for ablations); `run` rejects faults on cores
+    /// it lacks.
     pub fn with_config(variant: JbsqVariant, cfg: JbsqConfig) -> Self {
         assert!(cfg.cores > 0);
         assert!(cfg.bound > 0, "JBSQ bound must be positive");
-        cfg.faults.validate();
-        for f in &cfg.faults.worker_failures {
-            assert!(f.core < cfg.cores, "failure targets a nonexistent core");
-        }
         Jbsq { cfg, variant }
     }
 }
 
-enum Ev {
-    /// Request reached domain `d`'s central hardware queue.
-    NicEnqueue(usize, usize),
-    /// Pushed request lands in core `c`'s local queue.
-    Deliver(usize, QueuedRequest),
-    /// Core `c` finished a slice.
-    SliceDone(usize),
-    /// Core `c` finished its preemption overhead.
-    CoreFree(usize),
-    /// Fault plan: core `c` fails permanently. Never pushed by healthy runs.
-    Fail(usize),
-}
-
-struct JbsqWorld<'t> {
-    trace: &'t Trace,
-    cfg: JbsqConfig,
-    /// One central hardware queue per coherence domain.
-    nic_queue: Vec<VecDeque<QueuedRequest>>,
-    /// In-service request per core (None = idle).
-    running: Vec<Option<QueuedRequest>>,
-    /// Waiting entries per core, bounded by `bound` together with the
-    /// running/in-flight slot count.
-    local: Vec<VecDeque<QueuedRequest>>,
-    /// Requests pushed but not yet delivered (occupy a slot).
-    in_flight: Vec<usize>,
-    /// Core is paying preemption overhead until cleared.
-    stalled: Vec<bool>,
-    /// Hot plane: per-core slot occupancy (running + local + in-flight)
-    /// maintained incrementally, with dead cores folded in as the
-    /// sentinel. The NIC's shortest-bounded-queue scan reads only this.
-    occ: OccTable,
-    result: SystemResult,
-}
-
-impl JbsqWorld<'_> {
-    /// Recomputed occupancy of a live core — the oracle the incremental
-    /// [`OccTable`] is checked against in debug builds.
-    #[cfg(debug_assertions)]
-    fn occupancy(&self, core: usize) -> usize {
-        self.running[core].map_or(0, |_| 1) + self.local[core].len() + self.in_flight[core]
-    }
-
-    fn domain_of(&self, core: usize) -> usize {
-        core / self.cfg.domain_size
-    }
-
-    fn domain_cores(&self, domain: usize) -> std::ops::Range<usize> {
-        let lo = domain * self.cfg.domain_size;
-        lo..(lo + self.cfg.domain_size).min(self.cfg.cores)
-    }
-
-    /// NIC hardware scheduler: push heads to cores of `domain` with spare
-    /// slots.
-    fn try_push(&mut self, domain: usize, now: SimTime, q: &mut EventQueue<Ev>) {
-        while !self.nic_queue[domain].is_empty() {
-            // Shortest bounded queue first, within the coherence domain.
-            // First-minimal ties match the old filter + min_by_key scan
-            // over recomputed occupancies.
-            let Some(core) = self
-                .occ
-                .argmin_under(self.domain_cores(domain), self.cfg.bound as u32)
-            else {
-                return;
-            };
-            #[cfg(debug_assertions)]
-            debug_assert!(self
-                .domain_cores(domain)
-                .filter(|&c| !self.occ.is_dead(c) && self.occupancy(c) < self.cfg.bound)
-                .min_by_key(|&c| self.occupancy(c))
-                .is_some_and(|c| c == core));
-            let qr = self.nic_queue[domain]
-                .pop_front()
-                .expect("non-empty NIC queue");
-            let req = &self.trace.requests()[qr.idx];
-            self.in_flight[core] += 1;
-            self.occ.incr(core);
-            let xfer = self.cfg.transfer.latency(req.size_bytes);
-            q.push(now + xfer, Ev::Deliver(core, qr));
-        }
-    }
-
-    fn start_if_idle(&mut self, core: usize, now: SimTime, q: &mut EventQueue<Ev>) {
-        if self.running[core].is_some() || self.stalled[core] {
-            return;
-        }
-        let Some(qr) = self.local[core].pop_front() else {
-            return;
-        };
-        let slice = match self.cfg.quantum {
-            Some(qt) => qr.remaining.min(qt),
-            None => qr.remaining,
-        };
-        // A straggling core runs its slice slower (wall time inflated) but
-        // accomplishes the same nominal work; identity on healthy runs.
-        let wall = self.cfg.faults.inflate(core, now, slice);
-        self.running[core] = Some(qr);
-        q.push(now + wall, Ev::SliceDone(core));
-    }
-}
-
-impl World for JbsqWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::NicEnqueue(idx, domain) => {
-                let req = &self.trace.requests()[idx];
-                let total = self.cfg.stack.rx(req.size_bytes) + req.service + self.cfg.stack.tx(64);
-                self.nic_queue[domain].push_back(QueuedRequest::new(idx, total, now));
-                self.try_push(domain, now, q);
-            }
-            Ev::Deliver(core, qr) => {
-                self.in_flight[core] -= 1;
-                if self.occ.is_dead(core) {
-                    // Pushed before the core died; the descriptor is lost.
-                    return;
-                }
-                // Live landing is occupancy-neutral: in-flight becomes local.
-                self.local[core].push_back(qr);
-                self.start_if_idle(core, now, q);
-            }
-            Ev::SliceDone(core) => {
-                if self.occ.is_dead(core) {
-                    // Stale slice from before the core's death.
-                    return;
-                }
-                let domain = self.domain_of(core);
-                let mut qr = self.running[core].take().expect("slice on idle core");
-                // Either way the request leaves this core's bound: done, or
-                // requeued at the NIC's central queue.
-                self.occ.decr(core);
-                let ran = match self.cfg.quantum {
-                    Some(qt) => qr.remaining.min(qt),
-                    None => qr.remaining,
-                };
-                qr.remaining = qr.remaining.saturating_sub(ran);
-                if qr.remaining.is_zero() {
-                    let req = &self.trace.requests()[qr.idx];
-                    self.result.record(Completion {
-                        id: req.id,
-                        arrival: req.arrival,
-                        finish: now,
-                        core,
-                        migrated: false,
-                    });
-                    self.start_if_idle(core, now, q);
-                    self.try_push(domain, now, q);
-                } else {
-                    // nanoPU preemption: requeue at the NIC, pay overhead.
-                    self.nic_queue[domain].push_back(qr);
-                    self.stalled[core] = true;
-                    q.push(now + self.cfg.preempt_overhead, Ev::CoreFree(core));
-                    self.try_push(domain, now, q);
-                }
-            }
-            Ev::CoreFree(core) => {
-                if self.occ.is_dead(core) {
-                    return;
-                }
-                self.stalled[core] = false;
-                self.start_if_idle(core, now, q);
-                self.try_push(self.domain_of(core), now, q);
-            }
-            Ev::Fail(core) => {
-                // Fail-stop: lose the running request and the local queue;
-                // the central queue re-routes around the dead core from now
-                // on (JBSQ's built-in partial resilience).
-                self.occ.mark_dead(core);
-                self.running[core] = None;
-                self.local[core].clear();
-                self.try_push(self.domain_of(core), now, q);
-            }
+/// RSS across per-domain hardware queues, each pushing its head to the
+/// least-occupied core under the bound; nanoPU requeues sliced requests.
+impl Policy for JbsqConfig {
+    fn shape(&self) -> Shape {
+        Shape {
+            stack: Some(self.stack),
+            steering: Some((Steering::rss(), 0)),
+            domain: self.domain_size,
+            bound: self.bound as u32,
+            handoff: Handoff::Transfer(self.transfer),
+            quantum: self.quantum,
+            preempt_overhead: self.preempt_overhead,
+            faults: self.faults.clone(),
+            ..Shape::new(self.cores, self.nic.mac_delay)
         }
     }
 }
@@ -327,52 +160,14 @@ impl RpcSystem for Jbsq {
     }
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
-        let n = self.cfg.cores;
-        let domains = n.div_ceil(self.cfg.domain_size);
-        let mut steering = rpcstack::nic::Steering::rss();
-        let mut rng = simcore::rng::stream_rng(0, simcore::rng::streams::NIC);
-        // Streamed arrivals: reserved seqs keep pop order and steering RNG
-        // draws identical to the old upfront pre-push.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let domain = if domains == 1 {
-                    0
-                } else {
-                    steering.steer(req.conn, domains, &mut rng)
-                };
-                (req.arrival + mac_delay, Ev::NicEnqueue(i, domain))
-            },
-        );
-        let mut world = JbsqWorld {
-            trace,
-            cfg: self.cfg.clone(),
-            nic_queue: vec![VecDeque::new(); domains],
-            running: vec![None; n],
-            local: vec![VecDeque::new(); n],
-            in_flight: vec![0; n],
-            stalled: vec![false; n],
-            occ: OccTable::new(n),
-            result: SystemResult::with_capacity(trace.len()),
-        };
-        for f in &self.cfg.faults.worker_failures {
-            queue.push(f.at, Ev::Fail(f.core));
-        }
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
-        world.result
+        pool::run(self.cfg.clone(), trace).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::time::SimTime;
     use workload::arrival::PoissonProcess;
     use workload::dist::ServiceDistribution;
     use workload::trace::TraceBuilder;

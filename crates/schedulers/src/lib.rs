@@ -42,6 +42,7 @@ pub mod common;
 pub mod dfcfs;
 pub mod ideal;
 pub mod jbsq;
+mod pool;
 pub mod stealing;
 pub mod sweep;
 

@@ -12,17 +12,16 @@
 //! There is no preemption: a long request in service blocks its core, which
 //! is what Shinjuku (and Altocumulus) fix.
 
-use crate::common::{on_core_cost, OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::common::{OccTable, QueuedRequest, RpcSystem, SystemResult};
+use crate::pool::{self, Policy, Shape, Steal};
 use interconnect::offchip::MemoryModel;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rpcstack::nic::{NicModel, Steering, Transfer};
 use rpcstack::stack::StackModel;
-use simcore::event::{run_streamed, EventQueue, StreamInjector, World};
 use simcore::rng::{stream_rng, streams, BatchedRng};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 use std::collections::VecDeque;
-use workload::request::Completion;
 use workload::trace::Trace;
 
 /// Configuration for the work-stealing system.
@@ -98,122 +97,50 @@ impl WorkStealing {
     }
 }
 
-enum Ev {
-    Enqueue(usize, usize),
-    Done(usize),
-}
-
-struct StealWorld<'t> {
-    trace: &'t Trace,
-    cfg: StealingConfig,
-    queues: Vec<VecDeque<QueuedRequest>>,
-    in_service: Vec<Option<QueuedRequest>>,
-    /// Hot plane: 0/1 busy flags mirrored from `in_service`, read by the
-    /// arrival path's idle-core scan.
-    occ: OccTable,
+/// One run's ZygOS policy: RSS to per-core queues, and an idle core steals.
+struct Zygos<'c> {
+    cfg: &'c StealingConfig,
     /// Victim-selection draws come off the SCHEDULER stream in prefetched
     /// blocks; [`BatchedRng`] is stream-identical to the plain generator.
     rng: BatchedRng<StdRng>,
     stolen: u64,
-    result: SystemResult,
 }
 
-impl StealWorld<'_> {
-    fn start(
-        &mut self,
-        core: usize,
-        qr: QueuedRequest,
-        now: SimTime,
-        extra: SimDuration,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let req = &self.trace.requests()[qr.idx];
-        let cost = on_core_cost(
-            self.cfg.stack.rx(req.size_bytes),
-            self.cfg.stack.tx(64),
-            req,
-            SimDuration::ZERO,
-        ) + extra;
-        self.in_service[core] = Some(qr);
-        self.occ.incr(core);
-        q.push(now + cost, Ev::Done(core));
+impl Policy for Zygos<'_> {
+    fn shape(&self) -> Shape {
+        Shape {
+            transfer: Some(self.cfg.transfer),
+            stack: Some(self.cfg.stack),
+            steering: Some((self.cfg.steering.clone(), self.cfg.seed)),
+            ..Shape::new(self.cfg.cores, self.cfg.nic.mac_delay)
+        }
     }
 
-    /// An idle `core` looks for work: its own queue first, then a random
-    /// victim, then a scan. Returns the chosen request plus the overhead the
-    /// core paid to find it.
-    fn find_work(&mut self, core: usize) -> Option<(QueuedRequest, SimDuration, bool)> {
-        if let Some(qr) = self.queues[core].pop_front() {
-            return Some((qr, SimDuration::ZERO, false));
-        }
-        let n = self.cfg.cores;
+    /// An idle core grabs a fresh arrival whose steered core is busy at
+    /// once, paying the steal.
+    fn steal_idle(&mut self, occ: &OccTable) -> Steal {
+        let idle = occ.first_idle(0..self.cfg.cores)?;
+        self.stolen += 1;
+        Some((idle, self.cfg.steal_cost))
+    }
+
+    /// A random first victim, as ZygOS does, then a scan of the rest; every
+    /// empty queue probed adds the probe cost.
+    fn steal(&mut self, thief: usize, queues: &[VecDeque<QueuedRequest>]) -> Steal {
+        let n = queues.len();
         if n == 1 {
             return None;
         }
-        let mut overhead = SimDuration::ZERO;
-        // Random first victim, as ZygOS does.
-        let first = {
-            let step = self.rng.random_range(1..n);
-            (core + step) % n
-        };
-        if let Some(qr) = self.queues[first].pop_front() {
-            return Some((qr, overhead + self.cfg.steal_cost, true));
-        }
-        overhead += self.cfg.probe_cost;
-        // Fall back to scanning the remaining cores.
-        for off in 1..n {
-            let victim = (first + off) % n;
-            if victim == core {
-                continue;
+        let first = (thief + self.rng.random_range(1..n)) % n;
+        let mut cost = self.cfg.steal_cost;
+        for victim in (0..n).map(|off| (first + off) % n).filter(|&v| v != thief) {
+            if !queues[victim].is_empty() {
+                self.stolen += 1;
+                return Some((victim, cost));
             }
-            if let Some(qr) = self.queues[victim].pop_front() {
-                return Some((qr, overhead + self.cfg.steal_cost, true));
-            }
-            overhead += self.cfg.probe_cost;
+            cost += self.cfg.probe_cost;
         }
         None
-    }
-}
-
-impl World for StealWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::Enqueue(idx, core) => {
-                let req = &self.trace.requests()[idx];
-                let qr = QueuedRequest::new(idx, req.service, now);
-                if self.in_service[core].is_none() {
-                    self.start(core, qr, now, SimDuration::ZERO, q);
-                } else if let Some(idle) = self.occ.first_idle(0..self.cfg.cores) {
-                    debug_assert!(self.in_service[idle].is_none());
-                    // An idle core grabs it immediately, paying the steal.
-                    self.stolen += 1;
-                    self.start(idle, qr, now, self.cfg.steal_cost, q);
-                } else {
-                    self.queues[core].push_back(qr);
-                }
-            }
-            Ev::Done(core) => {
-                let qr = self.in_service[core].take().expect("Done on idle core");
-                self.occ.decr(core);
-                let req = &self.trace.requests()[qr.idx];
-                self.result.record(Completion {
-                    id: req.id,
-                    arrival: req.arrival,
-                    finish: now,
-                    core,
-                    migrated: qr.migrated,
-                });
-                if let Some((mut next, overhead, was_steal)) = self.find_work(core) {
-                    if was_steal {
-                        self.stolen += 1;
-                        next.migrated = true;
-                    }
-                    self.start(core, next, now, overhead, q);
-                }
-            }
-        }
     }
 }
 
@@ -223,40 +150,14 @@ impl RpcSystem for WorkStealing {
     }
 
     fn run(&mut self, trace: &Trace) -> SystemResult {
-        let mut steering = self.cfg.steering.clone();
-        let mut nic_rng: StdRng = stream_rng(self.cfg.seed, streams::NIC);
-        // Streamed arrivals: reserved seqs keep pop order and steering RNG
-        // draws identical to the old upfront pre-push.
-        let mut queue = EventQueue::new();
-        let base_seq = queue.reserve_seqs(trace.len() as u64);
-        let requests = trace.requests();
-        let mac_delay = self.cfg.nic.mac_delay;
-        let transfer = self.cfg.transfer;
-        let cores = self.cfg.cores;
-        let mut source = StreamInjector::new(
-            trace.len(),
-            base_seq,
-            |i: usize| requests[i].arrival + mac_delay,
-            |i: usize| {
-                let req = &requests[i];
-                let core = steering.steer(req.conn, cores, &mut nic_rng);
-                let deliver = req.arrival + mac_delay + transfer.latency(req.size_bytes);
-                (deliver, Ev::Enqueue(i, core))
-            },
-        );
-        let mut world = StealWorld {
-            trace,
-            cfg: self.cfg.clone(),
-            queues: vec![VecDeque::new(); self.cfg.cores],
-            in_service: vec![None; self.cfg.cores],
-            occ: OccTable::new(self.cfg.cores),
+        let policy = Zygos {
+            cfg: &self.cfg,
             rng: BatchedRng::new(stream_rng(self.cfg.seed, streams::SCHEDULER)),
             stolen: 0,
-            result: SystemResult::with_capacity(trace.len()),
         };
-        run_streamed(&mut world, &mut queue, &mut source, SimTime::MAX);
-        self.stolen = world.stolen;
-        world.result
+        let (result, policy) = pool::run(policy, trace);
+        self.stolen = policy.stolen;
+        result
     }
 }
 

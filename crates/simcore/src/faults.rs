@@ -188,6 +188,32 @@ impl FaultPlan {
         }
     }
 
+    /// [`validate`](Self::validate)s the plan, then checks that every
+    /// worker failure and every straggler range targets one of the
+    /// server's `cores` cores (ids `0..cores`).
+    ///
+    /// # Panics
+    ///
+    /// On any malformed entry, or on a core id at or past `cores`.
+    pub fn validate_for(&self, cores: usize) {
+        self.validate();
+        for f in &self.worker_failures {
+            assert!(
+                f.core < cores,
+                "worker failure targets core {} of {cores}",
+                f.core
+            );
+        }
+        for s in &self.stragglers {
+            assert!(
+                s.last_core < cores,
+                "straggler targets cores {}..={} of {cores}",
+                s.first_core,
+                s.last_core
+            );
+        }
+    }
+
     /// Combined service-time multiplier for `core` at instant `at`.
     ///
     /// Overlapping straggler intervals compose multiplicatively; a core with
