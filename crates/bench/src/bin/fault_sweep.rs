@@ -26,6 +26,7 @@
 
 use altocumulus::config::Resilience;
 use altocumulus::{AcConfig, Altocumulus};
+use bench::record::fault_shape::{self, CORES, GROUPS, GROUP_SIZE, LOAD, PLAN_SEED};
 use bench::record::{record_artifact, record_granularity_arg, record_out_arg, scenario_runs};
 use bench::{has_flag, parallel_map, poisson_trace};
 use schedulers::common::RpcSystem;
@@ -35,12 +36,6 @@ use simcore::faults::FaultPlan;
 use simcore::report::Table;
 use simcore::time::{SimDuration, SimTime};
 use workload::ServiceDistribution;
-
-const CORES: usize = 64;
-const GROUPS: usize = 4;
-const GROUP_SIZE: usize = 16;
-const LOAD: f64 = 0.7;
-const PLAN_SEED: u64 = 0xFA_07;
 
 struct Cell {
     system: &'static str,
@@ -59,23 +54,18 @@ fn violations(r: &schedulers::common::SystemResult, offered: usize, slo: SimDura
     late + (offered - r.completions.len())
 }
 
-/// Worker cores eligible to fail under each system's core map. Altocumulus
-/// reserves one manager tile per group; the flat baselines use every core.
-fn worker_cores(system: &str) -> Vec<usize> {
-    match system {
-        "AC_int" => (0..CORES + GROUPS)
-            .filter(|c| c % GROUP_SIZE != 0)
-            .collect(),
-        _ => (0..CORES).collect(),
-    }
-}
-
 fn run_cell(system: &'static str, intensity: f64, quick: bool, slo: SimDuration) -> Cell {
     let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-    let requests = if quick { 8_000 } else { 40_000 };
+    let requests = fault_shape::requests(quick);
     let trace = poisson_trace(dist, LOAD, CORES, requests, 128, 10);
     let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-    let plan = FaultPlan::stress(PLAN_SEED, &worker_cores(system), intensity, horizon);
+    let ac = system == "AC_int";
+    let plan = FaultPlan::stress(
+        PLAN_SEED,
+        &fault_shape::worker_cores(ac),
+        intensity,
+        horizon,
+    );
     let (r, note) = match system {
         "AC_int" => {
             // The paper's 64-core deployment: 4 groups of 16 (one manager +
@@ -129,11 +119,7 @@ fn main() {
     let quick = has_flag("--quick");
     let slo = SimDuration::from_us(10);
     let systems = ["AC_int", "d-FCFS", "Nebula"];
-    let intensities: &[f64] = if quick {
-        &[0.0, 0.5]
-    } else {
-        &[0.0, 0.1, 0.25, 0.5, 1.0]
-    };
+    let intensities = fault_shape::intensities(quick);
 
     println!(
         "Fault sweep: {CORES} cores, Fixed(850ns), load {LOAD:.1}, SLO p99 <= {}us{}",

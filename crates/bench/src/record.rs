@@ -84,6 +84,43 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
     h
 }
 
+/// Sweep shape of the `fault_sweep` scenario, shared by the bin and this
+/// registry like [`rack_shape`].
+pub mod fault_shape {
+    /// Cores of every system's server, Altocumulus managers included.
+    pub const CORES: usize = 64;
+    /// Altocumulus groups, one manager tile each.
+    pub const GROUPS: usize = 4;
+    /// Cores per Altocumulus group.
+    pub const GROUP_SIZE: usize = 16;
+    const _: () = assert!(GROUPS * GROUP_SIZE == CORES);
+    /// Offered load of every cell.
+    pub const LOAD: f64 = 0.7;
+    /// Seed of every cell's stress plan.
+    pub const PLAN_SEED: u64 = 0xFA_07;
+    /// Requests offered per cell.
+    pub fn requests(quick: bool) -> usize {
+        if quick {
+            8_000
+        } else {
+            40_000
+        }
+    }
+    /// Fault intensities swept.
+    pub fn intensities(quick: bool) -> &'static [f64] {
+        if quick {
+            &[0.0, 0.5]
+        } else {
+            &[0.0, 0.1, 0.25, 0.5, 1.0]
+        }
+    }
+    /// Cores a stress plan may fail or slow: Altocumulus keeps its manager
+    /// tiles out; the flat baselines expose every core.
+    pub fn worker_cores(ac: bool) -> Vec<usize> {
+        (0..CORES).filter(|c| !ac || c % GROUP_SIZE != 0).collect()
+    }
+}
+
 /// Sweep shape of the `rack_sweep` scenario, shared by the bin and this
 /// registry so construction drift between them is caught at provenance
 /// (the recorded config/trace fingerprints re-derive from these).
@@ -202,12 +239,12 @@ impl RunSpec {
                 intensity,
                 requests,
             } => {
+                use fault_shape::{worker_cores, CORES, GROUPS, GROUP_SIZE, LOAD, PLAN_SEED};
                 let dist = ServiceDistribution::Fixed(SimDuration::from_ns(850));
-                let trace = poisson_trace(dist, 0.7, 64, requests, 128, 10);
+                let trace = poisson_trace(dist, LOAD, CORES, requests, 128, 10);
                 let horizon = trace.requests().last().map_or(SimTime::ZERO, |r| r.arrival);
-                let worker_cores: Vec<usize> = (0..68).filter(|c| c % 16 != 0).collect();
-                let plan = FaultPlan::stress(0xFA_07, &worker_cores, intensity, horizon);
-                let mut cfg = AcConfig::ac_int(4, 16, dist.mean());
+                let plan = FaultPlan::stress(PLAN_SEED, &worker_cores(true), intensity, horizon);
+                let mut cfg = AcConfig::ac_int(GROUPS, GROUP_SIZE, dist.mean());
                 cfg.resilience = Resilience::hardened();
                 cfg.faults = plan;
                 (cfg, trace)
@@ -264,14 +301,9 @@ pub fn scenario_runs(bin: &str, quick: bool) -> Option<Vec<RunSpec>> {
             )
         }
         "fault_sweep" => {
-            let requests = if quick { 8_000 } else { 40_000 };
-            let intensities: &[f64] = if quick {
-                &[0.0, 0.5]
-            } else {
-                &[0.0, 0.1, 0.25, 0.5, 1.0]
-            };
+            let requests = fault_shape::requests(quick);
             Some(
-                intensities
+                fault_shape::intensities(quick)
                     .iter()
                     .map(|&intensity| RunSpec {
                         label: format!("AC_int@{intensity:.2}"),

@@ -253,14 +253,8 @@ impl AcConfig {
                 "tenancy must assign every group exactly once"
             );
         }
-        self.faults.validate();
+        self.faults.validate_for(self.total_cores());
         for f in &self.faults.worker_failures {
-            assert!(
-                f.core < self.total_cores(),
-                "worker failure targets core {} of {}",
-                f.core,
-                self.total_cores()
-            );
             assert!(
                 f.core % self.group_size != 0,
                 "core {} is a manager tile; use manager_failures",
@@ -319,6 +313,48 @@ mod tests {
     #[should_panic(expected = "one manager plus")]
     fn rejects_tiny_groups() {
         AcConfig::ac_int(4, 1, SimDuration::from_ns(850)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler targets cores 66..=66 of 64")]
+    fn rejects_a_straggler_on_a_phantom_core() {
+        // A straggler on a core the server lacks would never fire: reject
+        // the plan instead of running it inert.
+        let mut c = AcConfig::ac_int(4, 16, SimDuration::from_ns(850));
+        c.faults.stragglers.push(simcore::faults::Straggler {
+            first_core: 66,
+            last_core: 66,
+            from: simcore::time::SimTime::from_us(1),
+            until: simcore::time::SimTime::from_us(2),
+            slowdown: 2.0,
+        });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failure targets core 66 of 64")]
+    fn rejects_a_death_on_a_phantom_core() {
+        let mut c = AcConfig::ac_int(4, 16, SimDuration::from_ns(850));
+        c.faults
+            .worker_failures
+            .push(simcore::faults::WorkerFailure {
+                core: 66,
+                at: simcore::time::SimTime::from_us(1),
+            });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "core 16 is a manager tile")]
+    fn rejects_a_death_on_a_manager_tile() {
+        let mut c = AcConfig::ac_int(4, 16, SimDuration::from_ns(850));
+        c.faults
+            .worker_failures
+            .push(simcore::faults::WorkerFailure {
+                core: 16,
+                at: simcore::time::SimTime::from_us(1),
+            });
+        c.validate();
     }
 
     #[test]

@@ -266,4 +266,31 @@ mod tests {
             healthy.p99()
         );
     }
+
+    #[test]
+    #[should_panic(expected = "straggler targets cores 6..=8 of 8")]
+    fn rejects_a_straggler_on_a_phantom_core() {
+        use simcore::faults::Straggler;
+        let mut cfg = DFcfsConfig::rss(8);
+        cfg.faults.stragglers.push(Straggler {
+            first_core: 6,
+            last_core: 8,
+            from: SimTime::from_us(100),
+            until: SimTime::from_us(600),
+            slowdown: 3.0,
+        });
+        DFcfs::new(cfg).run(&trace(0.5, 8, 100));
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failure targets core 8 of 8")]
+    fn rejects_a_death_on_a_phantom_core() {
+        use simcore::faults::WorkerFailure;
+        let mut cfg = DFcfsConfig::rss(8);
+        cfg.faults.worker_failures.push(WorkerFailure {
+            core: 8,
+            at: SimTime::from_us(200),
+        });
+        DFcfs::new(cfg).run(&trace(0.5, 8, 100));
+    }
 }

@@ -346,4 +346,33 @@ mod tests {
             healthy.p99()
         );
     }
+
+    #[test]
+    #[should_panic(expected = "straggler targets cores 8..=9 of 8")]
+    fn rejects_a_straggler_on_a_phantom_core() {
+        use simcore::faults::Straggler;
+        let mut cfg = JbsqConfig::of(JbsqVariant::Nebula, 8);
+        cfg.faults.stragglers.push(Straggler {
+            first_core: 8,
+            last_core: 9,
+            from: SimTime::from_us(100),
+            until: SimTime::from_us(600),
+            slowdown: 3.0,
+        });
+        let t = trace(ServiceDistribution::bimodal_paper(), 0.5, 8, 100);
+        Jbsq::with_config(JbsqVariant::Nebula, cfg).run(&t);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failure targets core 9 of 8")]
+    fn rejects_a_death_on_a_phantom_core() {
+        use simcore::faults::WorkerFailure;
+        let mut cfg = JbsqConfig::of(JbsqVariant::Nebula, 8);
+        cfg.faults.worker_failures.push(WorkerFailure {
+            core: 9,
+            at: SimTime::from_us(200),
+        });
+        let t = trace(ServiceDistribution::bimodal_paper(), 0.5, 8, 100);
+        Jbsq::with_config(JbsqVariant::Nebula, cfg).run(&t);
+    }
 }

@@ -396,6 +396,52 @@ impl NocFaultRng {
 mod tests {
     use super::*;
 
+    fn straggler(first_core: usize, last_core: usize) -> Straggler {
+        Straggler {
+            first_core,
+            last_core,
+            from: SimTime::from_us(1),
+            until: SimTime::from_us(2),
+            slowdown: 2.0,
+        }
+    }
+
+    #[test]
+    fn validate_for_accepts_every_real_core() {
+        let plan = FaultPlan {
+            stragglers: vec![straggler(0, 63)],
+            worker_failures: vec![WorkerFailure {
+                core: 63,
+                at: SimTime::from_us(1),
+            }],
+            ..FaultPlan::default()
+        };
+        plan.validate_for(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler targets cores 60..=64 of 64")]
+    fn validate_for_rejects_a_straggler_past_the_last_core() {
+        let plan = FaultPlan {
+            stragglers: vec![straggler(60, 64)],
+            ..FaultPlan::default()
+        };
+        plan.validate_for(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failure targets core 66 of 64")]
+    fn validate_for_rejects_a_death_on_a_phantom_core() {
+        let plan = FaultPlan {
+            worker_failures: vec![WorkerFailure {
+                core: 66,
+                at: SimTime::from_us(1),
+            }],
+            ..FaultPlan::default()
+        };
+        plan.validate_for(64);
+    }
+
     #[test]
     fn default_plan_is_empty_and_valid() {
         let plan = FaultPlan::default();
