@@ -29,7 +29,7 @@ echo "==> cargo test --workspace --release"
 # below re-run a few of these suites to label their failures.
 cargo test --workspace --release
 
-echo "==> planner oracles (debug profile)"
+echo "==> planner and core-pool oracles (debug profile)"
 # The release suites above compile every debug_assert out, including the
 # manager tick's planner oracles: the patched and short-circuited fast-mode
 # plans against the full-scan planner with the eagerly evaluated threshold,
@@ -37,6 +37,10 @@ echo "==> planner oracles (debug profile)"
 # two suites that exercise them with debug assertions on.
 cargo test -q -p altocumulus --test prop_control_plane
 cargo test -q -p altocumulus --lib runtime::
+# The baseline core pool's oracles: every hand-off scan against occupancy
+# recomputed from the pool's slots, and every scan the pool skips (a
+# completion handing the queue head to the freed core) against the scan.
+cargo test -q -p schedulers
 
 echo "==> perfbench tests (benchmark workspace)"
 # The repo benchmark is its own workspace under perfbench/, which
@@ -144,6 +148,21 @@ SWEEP_THREADS=4 cargo run -q -p bench --release --bin rack_sweep -- --quick \
 cmp target/rack_sweep_quick.txt target/rack_sweep_b.txt
 cmp target/rack_sweep_quick.txt target/rack_sweep_c.txt
 rm -f target/rack_sweep_b.txt target/rack_sweep_c.txt
+
+echo "==> full-size figure binaries (exit status)"
+# Every figure binary once without --quick, failing on a non-zero exit:
+# cells that only the full sweeps reach (fault_sweep at intensity 1.0, the
+# 64-server rack_sweep row) must not panic. Stdout is kept for inspection
+# but not compared; the golden gates above pin the --quick output. The list
+# is every crates/bench/src/bin program except the three tools.
+mkdir -p target/full-size
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
+  case "$bin" in hotpath | replay | trace_lint) continue ;; esac
+  start=$(date +%s)
+  cargo run -q -p bench --release --bin "$bin" > "target/full-size/$bin.txt"
+  echo "    $bin ok ($(($(date +%s) - start)) s)"
+done
 
 echo "==> telemetry-export smoke"
 # Export a real trace from the hotpath harness and lint it: the Chrome-trace
