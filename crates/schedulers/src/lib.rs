@@ -13,8 +13,12 @@
 //! - [`sweep`]: throughput@SLO bisection and load sweeps.
 //! - [`catalog`]: Table I as data.
 //!
-//! All systems implement [`common::RpcSystem`]: feed a `workload::Trace`, get
-//! a [`common::SystemResult`].
+//! The five systems share one engine, the crate-private `pool::CorePool`:
+//! each module holds only its configuration, a policy (how arrivals are
+//! steered, which core picks the next request, whether idle cores steal,
+//! whether long requests are preempted) and its tests. All systems
+//! implement [`common::RpcSystem`]: feed a `workload::Trace`, get a
+//! [`common::SystemResult`].
 //!
 //! # Examples
 //!
